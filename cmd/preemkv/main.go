@@ -65,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/brownout"
 	"repro/internal/liveserver"
 	"repro/internal/shard"
 	"repro/internal/tailclient"
@@ -214,11 +213,13 @@ func serve(addr string, cfg liveserver.Config, drain time.Duration, metricsAddr 
 	st := s.PoolStats()
 	fmt.Printf("served: %d requests, %d preemptions, %d shed, %d degraded-runs, p99 %v\n",
 		st.Completed, st.Preemptions, st.Shed, st.DegradedRuns, st.P99)
-	ov := s.Overload
+	m := s.MetricsV2()
+	lc, be := m.Totals["lc"], m.Totals["be"]
 	fmt.Printf("overload: %d conns shed, %d requests shed, %d brownout-rejected, %d timeouts, %d over-long lines; timer restarts %d\n",
-		ov.ShedConns, ov.ShedRequests, ov.BrownoutRejects, ov.Timeouts, ov.LineTooLong, rt.TimerRestarts())
+		m.ShedConns, lc.RejectedNormal+lc.RejectedShed+be.RejectedNormal+be.RejectedShed,
+		lc.RejectedBrownout+be.RejectedBrownout, lc.Timeouts+be.Timeouts, m.LineTooLong, rt.TimerRestarts())
 	fmt.Printf("cancelled on disconnect: %d queued (evicted), %d executing (unwound at safepoint)\n",
-		ov.CancelledQueued, ov.CancelledExecuting)
+		st.CancelledQueued, st.CancelledExecuting)
 	fmt.Printf("brownout: %d transitions, final state %v, smoothed load %.3f\n",
 		s.Brownout().Transitions(), s.BrownoutState(), s.Brownout().Load())
 	now := time.Now()
@@ -235,25 +236,21 @@ func serve(addr string, cfg liveserver.Config, drain time.Duration, metricsAddr 
 		}
 	}
 	for c := 0; c < preemptible.NumClasses; c++ {
-		pc := ov.PerClass[c]
+		class := preemptible.Class(c)
+		pc := m.Totals[class.String()]
 		fmt.Printf("  %v: %d requests, rejected %d normal / %d brownout / %d shed / %d unavailable, %d evicted, %d timeouts, %d failed\n",
-			preemptible.Class(c), pc.Requests,
-			pc.Rejected[brownout.Normal], pc.Rejected[brownout.Brownout], pc.Rejected[brownout.Shed],
+			class, pc.Requests, pc.RejectedNormal, pc.RejectedBrownout, pc.RejectedShed,
 			pc.Unavailable, pc.Evicted, pc.Timeouts, pc.Failed)
 	}
-	g := s.Group()
-	for i := 0; i < g.N(); i++ {
-		sh := g.Shard(i)
-		cs := sh.Counters()
-		lc, be := cs[preemptible.ClassLC], cs[preemptible.ClassBE]
+	for _, sh := range m.PerShard {
+		lc, be := sh.Classes["lc"], sh.Classes["be"]
 		fmt.Printf("shard %d: %s, gen %d, %d restarts, %d LC + %d BE requests, %d unavailable, brownout %v\n",
-			i, sh.Health(), sh.Generation(), g.Restarts(i),
-			lc.Requests, be.Requests, lc.Unavailable+be.Unavailable, sh.BrownoutState())
+			sh.Shard, sh.Health, sh.Generation, sh.Restarts,
+			lc.Requests, be.Requests, lc.Unavailable+be.Unavailable, sh.Brownout)
 		if cfg.WALDir != "" {
-			wst := sh.WALStats()
 			fmt.Printf("  wal: %d appends, %d fsyncs, %d snapshots, %d recovered records, recovery %v\n",
-				wst.Appends, wst.Fsyncs, wst.Snapshots, wst.RecoveredRecords,
-				wst.Recovery.Round(time.Millisecond))
+				sh.WAL.WalAppends, sh.WAL.WalFsyncs, sh.WAL.SnapshotCount, sh.WAL.WalRecoveredRecords,
+				time.Duration(sh.WAL.RecoveryMillis)*time.Millisecond)
 		}
 	}
 }

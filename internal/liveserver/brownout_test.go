@@ -165,11 +165,8 @@ func TestBrownoutRegressionMatrix(t *testing.T) {
 	// --- Matrix row 2: LC was protected. No LC request was rejected
 	// while the server was merely browned out, and no LC client ever saw
 	// the BE-only "ERR brownout" line.
-	s.statMu.Lock()
-	lc := s.Overload.PerClass[preemptible.ClassLC]
-	be := s.Overload.PerClass[preemptible.ClassBE]
-	s.statMu.Unlock()
-	if got := lc.Rejected[brownout.Brownout]; got != 0 {
+	lc, be := classTotals(s)
+	if got := lc.RejectedBrownout; got != 0 {
 		t.Errorf("%d LC requests rejected during BROWNOUT, want 0", got)
 	}
 	lcMu.Lock()
@@ -180,7 +177,7 @@ func TestBrownoutRegressionMatrix(t *testing.T) {
 
 	// --- Matrix row 3: BE actually took the hit — fast-rejected with
 	// "ERR brownout" at the door and evicted from the queue.
-	if be.Rejected[brownout.Brownout] == 0 {
+	if be.RejectedBrownout == 0 {
 		t.Error("no BE request was fast-rejected during BROWNOUT")
 	}
 	if be.Evicted == 0 {
@@ -272,20 +269,16 @@ func TestBrownoutShedEscalation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	s.statMu.Lock()
-	lc := s.Overload.PerClass[preemptible.ClassLC]
-	shedRejects := s.Overload.ShedRequests
-	brownoutRejects := s.Overload.BrownoutRejects
-	s.statMu.Unlock()
-	if lc.Rejected[brownout.Shed] == 0 {
+	lc, be := classTotals(s)
+	if lc.RejectedShed == 0 {
 		t.Error("no LC rejection recorded against SHED")
 	}
-	if lc.Rejected[brownout.Brownout] != 0 {
-		t.Errorf("%d LC rejections recorded against BROWNOUT, want 0", lc.Rejected[brownout.Brownout])
+	if lc.RejectedBrownout != 0 {
+		t.Errorf("%d LC rejections recorded against BROWNOUT, want 0", lc.RejectedBrownout)
 	}
-	if brownoutRejects == 0 || shedRejects == 0 {
+	if be.RejectedBrownout == 0 || lc.RejectedShed+be.RejectedShed == 0 {
 		t.Errorf("expected both reject kinds on the way up: brownout=%d overloaded=%d",
-			brownoutRejects, shedRejects)
+			be.RejectedBrownout, lc.RejectedShed+be.RejectedShed)
 	}
 
 	// Load drains → SHED steps down to BROWNOUT, then to NORMAL.
@@ -304,21 +297,25 @@ func TestBrownoutStatsCommand(t *testing.T) {
 	if got := c.roundTrip(t, "PING"); got != "PONG" {
 		t.Fatalf("PING → %q", got)
 	}
-	got := c.roundTrip(t, "STATS")
-	if !strings.HasPrefix(got, "STATS state=normal load=") {
-		t.Fatalf("STATS → %q, want a normal-state stats line", got)
+	m, err := DecodeMetricsV2(c.roundTrip(t, "STATS2"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(got, "lc.requests=1 ") {
-		t.Fatalf("STATS after one PING does not count it as LC: %q", got)
+	if m.State != "normal" {
+		t.Fatalf("STATS2 state = %q, want normal", m.State)
 	}
-	if !strings.Contains(got, "be.requests=0 ") {
-		t.Fatalf("STATS after one PING counts BE requests: %q", got)
+	if got := m.Totals["lc"].Requests; got != 1 {
+		t.Fatalf("STATS2 after one PING counts %d LC requests, want 1", got)
 	}
-	s.statMu.Lock()
-	n := s.Requests.Stats
-	s.statMu.Unlock()
-	if n != 1 {
+	if got := m.Totals["be"].Requests; got != 0 {
+		t.Fatalf("STATS2 after one PING counts %d BE requests", got)
+	}
+	if n := s.Requests.Stats.Load(); n != 1 {
 		t.Fatalf("Requests.Stats = %d, want 1", n)
+	}
+	// The flat v1 line is gone, not aliased.
+	if got := c.roundTrip(t, "STATS"); got != "ERR unknown command STATS" {
+		t.Fatalf("STATS → %q, want the unknown-command error", got)
 	}
 }
 
@@ -350,10 +347,7 @@ func TestBrownoutDisabledRecoversLegacyShedding(t *testing.T) {
 	if st := s.BrownoutState(); st != brownout.Normal {
 		t.Fatalf("disabled controller reports %v", st)
 	}
-	s.statMu.Lock()
-	rej := s.Overload.PerClass[preemptible.ClassLC].Rejected
-	s.statMu.Unlock()
-	if rej[brownout.Normal] != 1 {
-		t.Fatalf("cap rejection not attributed to Normal: %v", rej)
+	if lc, _ := classTotals(s); lc.RejectedNormal != 1 || lc.RejectedBrownout+lc.RejectedShed != 0 {
+		t.Fatalf("cap rejection not attributed to Normal: %+v", lc)
 	}
 }

@@ -23,12 +23,11 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatalf("timed out waiting for %s", msg)
 }
 
-// cancelCounts reads the disconnect-cancellation counters under the
-// stats lock (the public fields are written under statMu).
+// cancelCounts reads the disconnect-cancellation split from the pools
+// (the shards' admission counters carry only the sum).
 func (s *Server) cancelCounts() (queued, executing uint64) {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.Overload.CancelledQueued, s.Overload.CancelledExecuting
+	ps := s.PoolStats()
+	return ps.CancelledQueued, ps.CancelledExecuting
 }
 
 func TestDisconnectCancelsExecuting(t *testing.T) {

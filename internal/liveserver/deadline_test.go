@@ -73,9 +73,7 @@ func TestDoomedWorkShedAtDequeue(t *testing.T) {
 	}
 	// ≥95% shed at dequeue is the acceptance floor; with deadlines
 	// already past at submit it is exact.
-	s.statMu.Lock()
-	lc := s.Overload.PerClass[preemptible.ClassLC]
-	s.statMu.Unlock()
+	lc, _ := classTotals(s)
 	if lc.ExpiredQueued != doomed {
 		t.Fatalf("ExpiredQueued=%d, want %d (≥95%% floor is %d)", lc.ExpiredQueued, doomed, doomed*95/100)
 	}
@@ -108,10 +106,7 @@ func TestDeadlineExpiresMidExecution(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("expiry unwind took %v — doomed work ran to completion?", elapsed)
 	}
-	s.statMu.Lock()
-	be := s.Overload.PerClass[preemptible.ClassBE]
-	s.statMu.Unlock()
-	if be.ExpiredExecuting != 1 {
+	if _, be := classTotals(s); be.ExpiredExecuting != 1 {
 		t.Fatalf("ExpiredExecuting=%d, want 1", be.ExpiredExecuting)
 	}
 }
@@ -138,7 +133,7 @@ func TestNoExpiryInSteadyState(t *testing.T) {
 	}
 }
 
-// TestStatsReportsExpiryAndReattempts: the STATS line carries the new
+// TestStatsReportsExpiryAndReattempts: the STATS2 document carries the
 // expiry and reattempt fields.
 func TestStatsReportsExpiryAndReattempts(t *testing.T) {
 	_, addr := startServer(t, Config{Workers: 1})
@@ -150,17 +145,15 @@ func TestStatsReportsExpiryAndReattempts(t *testing.T) {
 	if got := c.roundTrip(t, "PING A1"); got != "PONG" {
 		t.Fatalf("PING A1 → %q", got)
 	}
-	stats := c.roundTrip(t, "STATS")
-	for _, want := range []string{
-		"lc.expired.queued=1",
-		"lc.expired.executing=0",
-		"be.expired.queued=0",
-		"be.expired.executing=0",
-		"lc.reattempts=1",
-		"be.reattempts=0",
-	} {
-		if !strings.Contains(stats, " "+want) {
-			t.Fatalf("STATS missing %q: %s", want, stats)
-		}
+	m, err := DecodeMetricsV2(c.roundTrip(t, "STATS2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, be := m.Totals["lc"], m.Totals["be"]
+	if lc.ExpiredQueued != 1 || lc.ExpiredExecuting != 0 || lc.Reattempts != 1 {
+		t.Fatalf("STATS2 lc expiry/reattempts wrong: %+v", lc)
+	}
+	if be.ExpiredQueued != 0 || be.ExpiredExecuting != 0 || be.Reattempts != 0 {
+		t.Fatalf("STATS2 be expiry/reattempts wrong: %+v", be)
 	}
 }

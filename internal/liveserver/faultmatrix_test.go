@@ -210,10 +210,7 @@ func TestFaultContainmentRegressionMatrix(t *testing.T) {
 	if be.Trips() == 0 {
 		t.Error("BE breaker never tripped during the panic storm")
 	}
-	s.statMu.Lock()
-	lcOv := s.Overload.PerClass[preemptible.ClassLC]
-	beOv := s.Overload.PerClass[preemptible.ClassBE]
-	s.statMu.Unlock()
+	lcOv, beOv := classTotals(s)
 	if beOv.Unavailable == 0 {
 		t.Error("no BE request was fast-rejected by the tripped breaker")
 	}
@@ -261,16 +258,18 @@ func TestFaultContainmentRegressionMatrix(t *testing.T) {
 		t.Errorf("breaker state %v after healthy traffic, want closed", got)
 	}
 
-	// --- Row 6: the breaker is observable. STATS reports the per-class
-	// state and trip counts.
-	stats := dial(t, addr).roundTrip(t, "STATS")
-	for _, want := range []string{"breaker.lc=closed", "breaker.lc.trips=0", "breaker.be=closed"} {
-		if !strings.Contains(stats, want) {
-			t.Errorf("STATS %q missing %q", stats, want)
-		}
+	// --- Row 6: the breaker is observable. STATS2 reports the shard's
+	// per-class state and trip counts.
+	m, err := DecodeMetricsV2(dial(t, addr).roundTrip(t, "STATS2"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(stats, "breaker.be.trips=") || strings.Contains(stats, "breaker.be.trips=0") {
-		t.Errorf("STATS does not report the BE trips: %q", stats)
+	brk := m.PerShard[0].Breakers
+	if got := brk["lc"]; got != (BreakerSeries{State: "closed"}) {
+		t.Errorf("STATS2 LC breaker = %+v, want closed with 0 trips", got)
+	}
+	if got := brk["be"]; got.State != "closed" || got.Trips != be.Trips() {
+		t.Errorf("STATS2 BE breaker = %+v, want closed with %d trips", got, be.Trips())
 	}
 	t.Logf("matrix: poisoned %d/%d BE requests, %d trips, LC %v, BE %v",
 		ctr.Total(), ctr.Requests, be.Trips(), lcResponses, beResponses)

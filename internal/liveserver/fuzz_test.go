@@ -92,7 +92,7 @@ func FuzzParse(f *testing.F) {
 		}
 		if len(fields) > 0 {
 			switch strings.ToUpper(fields[0]) {
-			case "PING", "GET", "SET", "COMPRESS", "MGET", "STATS", "STATS2":
+			case "PING", "GET", "SET", "COMPRESS", "MGET", "STATS2":
 			default:
 				if !strings.HasPrefix(resp, "ERR") {
 					t.Fatalf("unknown command %q → %q, want ERR", line, resp)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/testutil"
+	"repro/preemptible"
 )
 
 // TestIdleTimeoutReapsHalfOpenConn: a connection that goes silent with
@@ -154,5 +155,45 @@ func TestShutdownLeaksNothing(t *testing.T) {
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestCloseRacingServe: the `go s.Serve(ln); ...; s.Close()` pattern
+// every caller uses must not leak the listener when Close (or Shutdown)
+// wins the race — it cannot close a listener Serve has not recorded
+// yet, so Serve itself must notice the server is closed, close ln and
+// return nil instead of blocking in Accept forever.
+func TestCloseRacingServe(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	rt, err := preemptible.New(preemptible.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	for i := 0; i < 20; i++ {
+		s := New(rt, Config{Workers: 1})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(ln) }()
+		if i%2 == 0 {
+			s.Close()
+		} else if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatalf("round %d: Shutdown: %v", i, err)
+		}
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Fatalf("round %d: Serve returned %v, want nil after Close", i, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: Serve still blocked in Accept after Close: the listener leaked", i)
+		}
+		if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+			conn.Close()
+			t.Fatalf("round %d: listener still accepting after Close", i)
+		}
 	}
 }

@@ -76,15 +76,3 @@ func BenchmarkHotPathStatsV2Encode(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkHotPathStatsV1Encode(b *testing.B) {
-	s := newBenchServer(b)
-	s.HandleLine("SET bench-key bench-value")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if line := s.HandleLine("STATS"); len(line) == 0 {
-			b.Fatal("empty STATS")
-		}
-	}
-}

@@ -23,7 +23,6 @@
 //	MGET <key> [<key> ...]   → MVALUES <tok> [<tok> ...]
 //	COMPRESS <n>             → COMPRESSED <in> <out>   (n kilobytes of work)
 //	PING                     → PONG
-//	STATS                    → STATS state=<..> load=<..> <counters> <per-shard fields>
 //	STATS2                   → STATS2 <one-line JSON document> (see metrics.go)
 //
 // MGET fans out to every shard its keys route to, each leg under the
@@ -216,9 +215,6 @@ type Config struct {
 	// WALFS overrides the WAL's filesystem (chaos fault injection);
 	// nil = the OS.
 	WALFS wal.FS
-	// WALLie builds a deliberately broken durability layer that acks
-	// without logging — see shard.Config.WALLie. Test-only.
-	WALLie bool
 }
 
 // Server serves the protocol over TCP.
@@ -233,78 +229,25 @@ type Server struct {
 	writeTimeout time.Duration
 	rr           atomic.Uint64 // round-robin cursor for keyless requests
 
-	ln     net.Listener
 	connWG sync.WaitGroup
-	connMu sync.Mutex
+	connMu sync.Mutex // guards ln and conns
+	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed sync.Once
 	done   chan struct{}
 
-	// Requests counts protocol requests served.
+	// Requests counts protocol requests served, per verb.
 	Requests struct {
-		Get, Set, MGet, Compress, Ping, Stats, Errors uint64
+		Get, Set, MGet, Compress, Ping, Stats, Errors atomic.Uint64
 	}
-	// Overload counts protection events as group totals: connections
-	// shed at accept, requests fast-rejected at admission with
-	// "ERR overloaded" (a shard's inflight share, or SHED), BE
-	// fast-rejected with "ERR brownout" (BROWNOUT), requests shed after
-	// timing out in a queue, over-long lines rejected, and work
-	// cancelled on client disconnect — split by whether the request was
-	// still queued (never occupied a worker) or already executing
-	// (unwound at its next safepoint). PerClass breaks admission
-	// decisions down by service class and, for rejections, by the
-	// brownout state that issued them — "no LC was ever rejected while
-	// merely browned out" is PerClass[ClassLC].Rejected[Brownout] == 0,
-	// directly. Every counter here also exists per shard
-	// (shard.ClassCounters); the group totals equal the sum over shards
-	// exactly, including across shard restarts.
-	Overload struct {
-		ShedConns, ShedRequests, BrownoutRejects, Timeouts, LineTooLong uint64
-		CancelledQueued, CancelledExecuting                             uint64
-		// IdleClosed counts connections reaped by Config.IdleTimeout
-		// (quiet with nothing in flight); WriteTimeouts counts
-		// connections closed because a response write ran out its
-		// Config.WriteTimeout against a non-draining client.
-		IdleClosed, WriteTimeouts uint64
-		// ExpiredQueued/ExpiredExecuting count requests whose wire
-		// deadline (D token) passed server-side: dropped at dequeue
-		// without ever executing, and unwound at a safepoint mid-run,
-		// respectively. Both answered "ERR deadline".
-		ExpiredQueued, ExpiredExecuting uint64
-		PerClass                        [preemptible.NumClasses]ClassOverload
-	}
-	statMu sync.Mutex
-}
-
-// ClassOverload is one service class's slice of the admission counters.
-type ClassOverload struct {
-	// Requests counts requests of this class that reached admission
-	// (each MGET shard leg counts once).
-	Requests uint64
-	// Rejected counts fast-rejects at the door, indexed by the brownout
-	// state that issued them (Normal = the plain inflight cap).
-	Rejected [brownout.NumStates]uint64
-	// Timeouts counts requests shed after waiting out RequestTimeout.
-	Timeouts uint64
-	// Evicted counts queued BE requests dropped by a brownout eviction
-	// (they answer "ERR brownout" without ever executing).
-	Evicted uint64
-	// Failed counts requests whose task panicked mid-execution; the
-	// pool contained the fault and the client saw "ERR internal".
-	Failed uint64
-	// Unavailable counts fast-rejects by the class's circuit breaker,
-	// by a draining pool, or by a Restarting/Dead shard; the client saw
-	// "ERR unavailable".
-	Unavailable uint64
-	// ExpiredQueued/ExpiredExecuting mirror the pools' deadline-expiry
-	// buckets for this class's wire-deadline (D token) requests. Exact
-	// conservation holds: this ExpiredQueued equals the summed pools'
-	// PerClass ExpiredQueued, because deadline-carrying requests are
-	// always submitted and expire only inside a pool.
-	ExpiredQueued, ExpiredExecuting uint64
-	// Reattempts counts admitted requests marked A≥1 — the server-side
-	// view of client hedging and retry traffic.
-	Reattempts uint64
+	// The connection-plane counters: events that fire before any shard
+	// is chosen — connections shed at accept, over-long lines rejected,
+	// connections reaped by Config.IdleTimeout (quiet with nothing in
+	// flight) and connections closed because a response write ran out
+	// its Config.WriteTimeout against a non-draining client. Every
+	// admission counter lives in the shards (shard.ClassCounters);
+	// MetricsV2 sums them at read time.
+	shedConns, lineTooLong, idleClosed, writeTimeouts atomic.Uint64
 }
 
 // New builds a server on the given runtime.
@@ -355,7 +298,6 @@ func New(rt *preemptible.Runtime, cfg Config) *Server {
 			WALSync:             cfg.WALSync,
 			SnapshotEvery:       cfg.SnapshotEvery,
 			WALFS:               cfg.WALFS,
-			WALLie:              cfg.WALLie,
 		}, scfg),
 		maxConns:     maxConns,
 		reqTimeout:   cfg.RequestTimeout,
@@ -368,10 +310,20 @@ func New(rt *preemptible.Runtime, cfg Config) *Server {
 	return s
 }
 
-// Serve accepts connections on ln until Close. It returns when the
-// listener fails (net.ErrClosed after Close).
+// Serve accepts connections on ln until Close or Shutdown, then
+// returns nil; any other listener failure is returned. A server already
+// closed when Serve starts closes ln itself — Close could not have seen
+// it.
 func (s *Server) Serve(ln net.Listener) error {
+	s.connMu.Lock()
 	s.ln = ln
+	s.connMu.Unlock()
+	select {
+	case <-s.done:
+		ln.Close()
+		return nil
+	default:
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -414,6 +366,8 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Addr reports the bound address (after Serve started).
 func (s *Server) Addr() net.Addr {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
 	if s.ln == nil {
 		return nil
 	}
@@ -425,12 +379,12 @@ func (s *Server) Addr() net.Addr {
 func (s *Server) Close() {
 	s.closed.Do(func() {
 		close(s.done)
-		if s.ln != nil {
-			s.ln.Close()
-		}
 		// Force open connections closed: handleConn goroutines block in
 		// Scan otherwise.
 		s.connMu.Lock()
+		if s.ln != nil {
+			s.ln.Close()
+		}
 		for c := range s.conns {
 			c.Close()
 		}
@@ -453,9 +407,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.closed.Do(func() {
 		close(s.done)
+		s.connMu.Lock()
 		if s.ln != nil {
 			s.ln.Close()
 		}
+		s.connMu.Unlock()
 		connsDone := make(chan struct{})
 		go func() {
 			s.connWG.Wait()
@@ -534,7 +490,7 @@ func errLine(st brownout.State) string {
 // closed, so clients see an explicit rejection instead of an unbounded
 // accept queue.
 func (s *Server) shedConn(conn net.Conn) {
-	s.count(&s.Overload.ShedConns)
+	s.shedConns.Add(1)
 	conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
 	io.WriteString(conn, errLine(s.BrownoutState())+"\n")         //nolint:errcheck
 	conn.Close()
@@ -604,7 +560,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		if werr != nil {
 			if errors.Is(werr, os.ErrDeadlineExceeded) {
-				s.count(&s.Overload.WriteTimeouts)
+				s.writeTimeouts.Add(1)
 			}
 			return
 		}
@@ -618,8 +574,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	err := <-scanErr
 	switch {
 	case err != nil && errors.Is(err, bufio.ErrTooLong):
-		s.count(&s.Overload.LineTooLong)
-		s.countErr()
+		s.lineTooLong.Add(1)
+		s.Requests.Errors.Add(1)
 		// A fresh write deadline: an earlier response's deadline may have
 		// long passed, and this line should not block on a dead client.
 		conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
@@ -631,7 +587,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond)) //nolint:errcheck
 		io.Copy(io.Discard, conn)                                   //nolint:errcheck
 	case err != nil && errors.Is(err, os.ErrDeadlineExceeded):
-		s.count(&s.Overload.IdleClosed)
+		s.idleClosed.Add(1)
 	}
 }
 
@@ -792,39 +748,44 @@ func (s *Server) keyless() int {
 // fans out per shard, keyless ones round-robin over healthy shards.
 // gone, when closed, marks the client as disconnected: in-flight pool
 // work for the request is cancelled (nil means no disconnect
-// tracking). KV operations run as ClassLC, COMPRESS as ClassBE; STATS
+// tracking). KV operations run as ClassLC, COMPRESS as ClassBE; STATS2
 // is answered inline, off the pools, so shard health and brownout
 // state stay observable even while everything else sheds.
 func (s *Server) handleRequest(line string, gone <-chan struct{}) string {
 	fields := strings.Fields(line)
 	fields, meta, metaErr := parseMeta(fields)
 	if metaErr != "" {
-		s.countErr()
+		s.Requests.Errors.Add(1)
 		return metaErr
 	}
 	if len(fields) == 0 {
-		s.countErr()
+		s.Requests.Errors.Add(1)
 		return "ERR empty request"
 	}
 	var resp string
+	// run pushes one request task through shard idx's admission path
+	// (see shard.Shard.Do for the gate order, and for the counting: the
+	// shard tallies every outcome); a task that was shed leaves the
+	// protocol error line in resp. An already-past deadline is
+	// deliberately NOT fast-rejected at admission: the request is
+	// submitted and expires at dequeue, so the shard's per-class expiry
+	// counters and the pools' agree exactly.
 	run := func(idx int, class preemptible.Class, task preemptible.Task) {
-		if msg := s.runTask(idx, class, task, meta, gone); msg != "" {
+		res := s.group.Do(idx, class, task, shard.DoOptions{Deadline: meta.deadline, Attempt: meta.attempt, Gone: gone})
+		if msg := settle(res); msg != "" {
 			resp = msg
 		}
 	}
 	switch strings.ToUpper(fields[0]) {
 	case "PING":
 		run(s.keyless(), preemptible.ClassLC, func(ctx *preemptible.Ctx) { resp = "PONG" })
-		s.count(&s.Requests.Ping)
-	case "STATS":
-		s.count(&s.Requests.Stats)
-		return s.statsLine()
+		s.Requests.Ping.Add(1)
 	case "STATS2":
-		s.count(&s.Requests.Stats)
+		s.Requests.Stats.Add(1)
 		return s.statsV2Line()
 	case "GET":
 		if len(fields) != 2 {
-			s.countErr()
+			s.Requests.Errors.Add(1)
 			return "ERR GET <key>"
 		}
 		key := []byte(fields[1])
@@ -838,10 +799,10 @@ func (s *Server) handleRequest(line string, gone <-chan struct{}) string {
 				resp = "NOT_FOUND"
 			}
 		})
-		s.count(&s.Requests.Get)
+		s.Requests.Get.Add(1)
 	case "SET":
 		if len(fields) < 3 {
-			s.countErr()
+			s.Requests.Errors.Add(1)
 			return "ERR SET <key> <value>"
 		}
 		key := []byte(fields[1])
@@ -863,22 +824,22 @@ func (s *Server) handleRequest(line string, gone <-chan struct{}) string {
 				resp = "ERR value too large"
 			}
 		})
-		s.count(&s.Requests.Set)
+		s.Requests.Set.Add(1)
 	case "MGET":
 		if len(fields) < 2 {
-			s.countErr()
+			s.Requests.Errors.Add(1)
 			return "ERR MGET <key> [<key> ...]"
 		}
-		s.count(&s.Requests.MGet)
+		s.Requests.MGet.Add(1)
 		return s.handleMGet(fields[1:], meta, gone)
 	case "COMPRESS":
 		if len(fields) != 2 {
-			s.countErr()
+			s.Requests.Errors.Add(1)
 			return "ERR COMPRESS <kilobytes>"
 		}
 		kb, err := strconv.Atoi(fields[1])
 		if err != nil || kb <= 0 || kb > 1024 {
-			s.countErr()
+			s.Requests.Errors.Add(1)
 			return "ERR COMPRESS wants 1..1024 kilobytes"
 		}
 		idx := s.keyless()
@@ -899,85 +860,33 @@ func (s *Server) handleRequest(line string, gone <-chan struct{}) string {
 			}
 			resp = fmt.Sprintf("COMPRESSED %d %d", in, out)
 		})
-		s.count(&s.Requests.Compress)
+		s.Requests.Compress.Add(1)
 	default:
-		s.countErr()
+		s.Requests.Errors.Add(1)
 		return "ERR unknown command " + fields[0]
 	}
 	return resp
 }
 
-// runTask pushes one request task through shard idx's admission path
-// (see shard.Shard.Do for the gate order) and settles the outcome into
-// the group-total counters. It returns "" when the task ran, or the
-// protocol error line when it was shed. An already-past deadline is
-// deliberately NOT fast-rejected at admission: the request is submitted
-// and expires at dequeue, so the server's per-class expiry counters and
-// the pools' agree exactly.
-func (s *Server) runTask(idx int, class preemptible.Class, task preemptible.Task, meta reqMeta, gone <-chan struct{}) string {
-	s.countClass(class, func(c *ClassOverload) {
-		c.Requests++
-		if meta.attempt > 0 {
-			c.Reattempts++
-		}
-	})
-	res := s.group.Do(idx, class, task, shard.DoOptions{
-		Deadline: meta.deadline,
-		Attempt:  meta.attempt,
-		Gone:     gone,
-	})
-	return s.settle(class, res)
-}
-
-// settle folds one shard disposition into the server's group-total
-// counters and returns its response line ("" for OK). The counter per
-// outcome mirrors shard.ClassCounters field for field, which is what
-// makes "group totals equal the sum over shards" an exact invariant.
-func (s *Server) settle(class preemptible.Class, res shard.Result) string {
+// settle maps one shard disposition to its response line ("" for OK).
+func settle(res shard.Result) string {
 	switch res.Outcome {
 	case shard.OK:
 		return ""
-	case shard.RejectedShed:
-		s.count(&s.Overload.ShedRequests)
-		s.countClass(class, func(c *ClassOverload) { c.Rejected[res.BState]++ })
+	case shard.RejectedShed, shard.RejectedInflight, shard.Timeout:
 		return "ERR overloaded"
 	case shard.RejectedBrownout:
-		s.count(&s.Overload.BrownoutRejects)
-		s.countClass(class, func(c *ClassOverload) { c.Rejected[res.BState]++ })
 		return "ERR brownout"
-	case shard.RejectedInflight:
-		s.count(&s.Overload.ShedRequests)
-		s.countClass(class, func(c *ClassOverload) { c.Rejected[res.BState]++ })
-		return "ERR overloaded"
 	case shard.Unavailable:
-		s.countClass(class, func(c *ClassOverload) { c.Unavailable++ })
 		return "ERR unavailable"
-	case shard.Failed:
-		s.countClass(class, func(c *ClassOverload) { c.Failed++ })
-		return "ERR internal"
-	case shard.CancelledQueued:
-		s.count(&s.Overload.CancelledQueued)
+	case shard.CancelledQueued, shard.CancelledExecuting:
 		return "ERR cancelled"
-	case shard.CancelledExecuting:
-		s.count(&s.Overload.CancelledExecuting)
-		return "ERR cancelled"
-	case shard.ExpiredQueued:
-		s.count(&s.Overload.ExpiredQueued)
-		s.countClass(class, func(c *ClassOverload) { c.ExpiredQueued++ })
-		return "ERR deadline"
-	case shard.ExpiredExecuting:
-		s.count(&s.Overload.ExpiredExecuting)
-		s.countClass(class, func(c *ClassOverload) { c.ExpiredExecuting++ })
+	case shard.ExpiredQueued, shard.ExpiredExecuting:
 		return "ERR deadline"
 	case shard.Evicted:
-		s.countClass(class, func(c *ClassOverload) { c.Evicted++ })
 		return errLine(res.BState)
-	case shard.Timeout:
-		s.count(&s.Overload.Timeouts)
-		s.countClass(class, func(c *ClassOverload) { c.Timeouts++ })
-		return "ERR overloaded"
 	}
-	return "ERR internal"
+	return "ERR internal" // shard.Failed: the task panicked
 }
 
 // failToken maps a failed MGET shard leg to its per-key result token.
@@ -1004,9 +913,9 @@ func failToken(o shard.Outcome) string {
 // request order, with explicit partial failure: a leg that cannot run —
 // its shard is Restarting/Dead, shedding, draining, or the leg expired
 // — fails only its own keys with a failure token while every other
-// leg's keys come back with real values. Each leg settles into the
-// admission counters exactly like a single-key request, so counter
-// conservation sees MGET as N(shards touched) requests, not one.
+// leg's keys come back with real values. Each leg is one shard.Do, so
+// the admission counters see MGET as N(shards touched) requests, not
+// one.
 func (s *Server) handleMGet(keys []string, meta reqMeta, gone <-chan struct{}) string {
 	tokens := make([]string, len(keys))
 	byShard := make(map[int][]int)
@@ -1020,12 +929,6 @@ func (s *Server) handleMGet(keys []string, meta reqMeta, gone <-chan struct{}) s
 		go func(idx int, kidx []int) {
 			defer wg.Done()
 			sh := s.group.Shard(idx)
-			s.countClass(preemptible.ClassLC, func(c *ClassOverload) {
-				c.Requests++
-				if meta.attempt > 0 {
-					c.Reattempts++
-				}
-			})
 			// The leg's task fills its keys' tokens with no safepoint in
 			// between: it either ran (every token set) or it did not run
 			// at all, so a failure token never overwrites a real value.
@@ -1041,7 +944,7 @@ func (s *Server) handleMGet(keys []string, meta reqMeta, gone <-chan struct{}) s
 					}
 				})
 			}, shard.DoOptions{Deadline: meta.deadline, Attempt: meta.attempt, Gone: gone})
-			if s.settle(preemptible.ClassLC, res) != "" {
+			if res.Outcome != shard.OK {
 				tok := failToken(res.Outcome)
 				for _, i := range kidx {
 					tokens[i] = tok
@@ -1052,75 +955,3 @@ func (s *Server) handleMGet(keys []string, meta reqMeta, gone <-chan struct{}) s
 	wg.Wait()
 	return "MVALUES " + strings.Join(tokens, " ")
 }
-
-// statsLine renders the STATS response: the most degraded shard's
-// controller state and load, the group-total admission counters
-// (rejections summed over the states that issued them), then one field
-// block per shard — health, restart count, brownout state, and
-// per-class request/unavailable tallies — so a partial outage is
-// visible as exactly one degraded block.
-func (s *Server) statsLine() string {
-	st := s.BrownoutState()
-	var load float64
-	for i := 0; i < s.group.N(); i++ {
-		if l := s.group.Shard(i).Brownout().Load(); l > load {
-			load = l
-		}
-	}
-	sum := func(a [brownout.NumStates]uint64) uint64 {
-		var t uint64
-		for _, v := range a {
-			t += v
-		}
-		return t
-	}
-	s.statMu.Lock()
-	lc := s.Overload.PerClass[preemptible.ClassLC]
-	be := s.Overload.PerClass[preemptible.ClassBE]
-	s.statMu.Unlock()
-	brk := func(class preemptible.Class) (string, uint64) {
-		if b := s.group.Shard(0).Breaker(class); b != nil {
-			return b.State(time.Now()).String(), b.Trips()
-		}
-		return "off", 0
-	}
-	lcState, lcTrips := brk(preemptible.ClassLC)
-	beState, beTrips := brk(preemptible.ClassBE)
-	var b strings.Builder
-	fmt.Fprintf(&b,
-		"STATS state=%s load=%.3f lc.requests=%d lc.rejected=%d lc.timeouts=%d be.requests=%d be.rejected=%d be.evicted=%d be.timeouts=%d"+
-			" lc.failed=%d be.failed=%d lc.unavailable=%d be.unavailable=%d breaker.lc=%s breaker.lc.trips=%d breaker.be=%s breaker.be.trips=%d"+
-			" lc.expired.queued=%d lc.expired.executing=%d be.expired.queued=%d be.expired.executing=%d lc.reattempts=%d be.reattempts=%d",
-		st, load,
-		lc.Requests, sum(lc.Rejected), lc.Timeouts,
-		be.Requests, sum(be.Rejected), be.Evicted, be.Timeouts,
-		lc.Failed, be.Failed, lc.Unavailable, be.Unavailable,
-		lcState, lcTrips, beState, beTrips,
-		lc.ExpiredQueued, lc.ExpiredExecuting, be.ExpiredQueued, be.ExpiredExecuting,
-		lc.Reattempts, be.Reattempts,
-	)
-	fmt.Fprintf(&b, " shards=%d", s.group.N())
-	for i := 0; i < s.group.N(); i++ {
-		sh := s.group.Shard(i)
-		cs := sh.Counters()
-		slc, sbe := cs[preemptible.ClassLC], cs[preemptible.ClassBE]
-		fmt.Fprintf(&b, " s%d.health=%s s%d.restarts=%d s%d.state=%s s%d.lc.requests=%d s%d.be.requests=%d s%d.unavailable=%d",
-			i, sh.Health(), i, s.group.Restarts(i), i, sh.BrownoutState(),
-			i, slc.Requests, i, sbe.Requests, i, slc.Unavailable+sbe.Unavailable)
-	}
-	return b.String()
-}
-
-func (s *Server) count(field *uint64) {
-	s.statMu.Lock()
-	*field++
-	s.statMu.Unlock()
-}
-
-func (s *Server) countClass(class preemptible.Class, f func(*ClassOverload)) {
-	s.statMu.Lock()
-	f(&s.Overload.PerClass[class])
-	s.statMu.Unlock()
-}
-
-func (s *Server) countErr() { s.count(&s.Requests.Errors) }

@@ -34,6 +34,13 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return s, ln.Addr().String()
 }
 
+// classTotals reads the group-total admission series of both classes
+// from one STATS v2 document.
+func classTotals(s *Server) (lc, be ClassSeries) {
+	m := s.MetricsV2()
+	return m.Totals["lc"], m.Totals["be"]
+}
+
 // holdStoreLock occupies shard idx's store lock until the returned
 // release func is called — the deterministic way to wedge a GET inside
 // its critical section (no safepoints there). It returns once the lock
@@ -94,8 +101,8 @@ func TestKVRoundTrip(t *testing.T) {
 	if got := c.roundTrip(t, "GET k"); got != "VALUE hello world" {
 		t.Fatalf("GET → %q", got)
 	}
-	if s.Requests.Get != 2 || s.Requests.Set != 1 || s.Requests.Ping != 1 {
-		t.Fatalf("counters: %+v", s.Requests)
+	if get, set, ping := s.Requests.Get.Load(), s.Requests.Set.Load(), s.Requests.Ping.Load(); get != 2 || set != 1 || ping != 1 {
+		t.Fatalf("counters: get=%d set=%d ping=%d", get, set, ping)
 	}
 }
 
@@ -119,7 +126,7 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("%q → %q, want ERR", req, got)
 		}
 	}
-	if s.Requests.Errors == 0 {
+	if s.Requests.Errors.Load() == 0 {
 		t.Fatal("error counter never moved")
 	}
 }
@@ -154,8 +161,8 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s.Requests.Set != 100 || s.Requests.Get != 100 {
-		t.Fatalf("counters: %+v", s.Requests)
+	if set, get := s.Requests.Set.Load(), s.Requests.Get.Load(); set != 100 || get != 100 {
+		t.Fatalf("counters: set=%d get=%d", set, get)
 	}
 	if s.PoolStats().Completed != 200 {
 		t.Fatalf("pool completed %d", s.PoolStats().Completed)

@@ -1,25 +1,25 @@
 // STATS v2 — the server's structured metrics plane.
 //
-// The original STATS command renders a flat, human-greppable key=value
-// line whose fields accreted PR by PR. STATS v2 is the machine
-// counterpart: one schema-versioned JSON document carrying the same
-// series — per-class admission counters, latency quantiles, and pool
-// scheduling counters — both as group totals and per shard, so a
-// dashboard (or the perf-validation harness in internal/perfval) can
-// watch a live soak and gate on exactly the numbers the server exports.
+// One schema-versioned JSON document carries every series the server
+// exports — per-class admission counters, latency quantiles, breaker
+// state, and pool scheduling counters — both as group totals and per
+// shard, so a dashboard (or the perf-validation harness in
+// internal/perfval) can watch a live soak and gate on exactly the
+// numbers the server exports.
 //
 // The same document is reachable two ways:
 //
 //   - the wire: "STATS2" answers "STATS2 <compact JSON>" on the normal
-//     request path (answered inline, off the pools, like STATS);
+//     request path (answered inline, off the pools);
 //   - HTTP: Server.MetricsHandler serves it (indented) at /metrics via
 //     preemkv's -metrics flag, for curl/Prometheus-style scraping.
 //
 // Invariant: every counter in Totals equals the sum of that counter
-// over PerShard, exactly — both views are computed from one pass over
-// the same shard snapshots, and shard counters survive restarts. The
-// latency quantiles in Totals come from a true histogram merge across
-// shards (stats.Histogram.Merge), not a max.
+// over PerShard, exactly, in every document — the shards hold the only
+// admission counters, and both views are computed from one
+// shard.Snapshot per shard. The latency quantiles in Totals come from a
+// true histogram merge across shards (stats.Histogram.Merge), not a
+// max.
 package liveserver
 
 import (
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/internal/brownout"
 	"repro/internal/shard"
@@ -47,8 +48,8 @@ const MetricsSchemaVersion = 3
 const statsV2Prefix = "STATS2 "
 
 // ClassSeries is one service class's metric series: the admission
-// counters (mirroring shard.ClassCounters field for field) plus the
-// class's completed-request latency quantiles in microseconds.
+// counters (shard.ClassCounters field for field) plus the class's
+// completed-request latency quantiles in microseconds.
 type ClassSeries struct {
 	Requests         uint64 `json:"requests"`
 	Completed        uint64 `json:"completed"`
@@ -133,16 +134,26 @@ func (w *WALSeries) add(o WALSeries) {
 	w.RecoveryMillis += o.RecoveryMillis
 }
 
-// ShardSeries is one shard's block of the document.
+// BreakerSeries is one class's circuit breaker on one shard: its state
+// ("closed", "open", "half-open"; "off" when breakers are disabled) and
+// how often the live generation's breaker has tripped.
+type BreakerSeries struct {
+	State string `json:"state"`
+	Trips uint64 `json:"trips"`
+}
+
+// ShardSeries is one shard's block of the document. Breakers is
+// additive since schema 3, no bump.
 type ShardSeries struct {
-	Shard      int                    `json:"shard"`
-	Health     string                 `json:"health"`
-	Generation uint64                 `json:"generation"`
-	Restarts   uint64                 `json:"restarts"`
-	Brownout   string                 `json:"brownout"`
-	Classes    map[string]ClassSeries `json:"classes"` // keyed "lc", "be"
-	Pool       PoolSeries             `json:"pool"`
-	WAL        WALSeries              `json:"wal"`
+	Shard      int                      `json:"shard"`
+	Health     string                   `json:"health"`
+	Generation uint64                   `json:"generation"`
+	Restarts   uint64                   `json:"restarts"`
+	Brownout   string                   `json:"brownout"`
+	Classes    map[string]ClassSeries   `json:"classes"`  // keyed "lc", "be"
+	Breakers   map[string]BreakerSeries `json:"breakers"` // keyed "lc", "be"
+	Pool       PoolSeries               `json:"pool"`
+	WAL        WALSeries                `json:"wal"`
 }
 
 // MetricsV2 is the STATS v2 document.
@@ -207,25 +218,24 @@ func poolSeries(st preemptible.PoolStats) PoolSeries {
 	}
 }
 
-// MetricsV2 snapshots the full STATS v2 document. Totals are computed
-// in the same pass as the per-shard blocks, so "every total equals the
-// sum over shards" holds exactly in any single returned document.
+// MetricsV2 snapshots the full STATS v2 document. Each shard is read
+// once, and that one reading feeds both its per-shard block and the
+// totals, so "every total equals the sum over shards" holds exactly in
+// any single returned document.
 func (s *Server) MetricsV2() MetricsV2 {
 	g := s.group
 	m := MetricsV2{
-		Schema:   MetricsSchemaVersion,
-		State:    s.BrownoutState().String(),
-		Shards:   g.N(),
-		Totals:   make(map[string]ClassSeries, preemptible.NumClasses),
-		PerShard: make([]ShardSeries, 0, g.N()),
+		Schema:        MetricsSchemaVersion,
+		State:         s.BrownoutState().String(),
+		Shards:        g.N(),
+		ShedConns:     s.shedConns.Load(),
+		LineTooLong:   s.lineTooLong.Load(),
+		IdleClosed:    s.idleClosed.Load(),
+		WriteTimeouts: s.writeTimeouts.Load(),
+		Totals:        make(map[string]ClassSeries, preemptible.NumClasses),
+		PerShard:      make([]ShardSeries, 0, g.N()),
 	}
-	s.statMu.Lock()
-	m.ShedConns = s.Overload.ShedConns
-	m.LineTooLong = s.Overload.LineTooLong
-	m.IdleClosed = s.Overload.IdleClosed
-	m.WriteTimeouts = s.Overload.WriteTimeouts
-	s.statMu.Unlock()
-
+	now := time.Now()
 	merged := [preemptible.NumClasses]*stats.Histogram{}
 	totals := [preemptible.NumClasses]ClassSeries{}
 	for c := range merged {
@@ -236,7 +246,7 @@ func (s *Server) MetricsV2() MetricsV2 {
 		if l := sh.Brownout().Load(); l > m.Load {
 			m.Load = l
 		}
-		cs := sh.Counters()
+		cs, lat := sh.Snapshot(&merged)
 		wst := sh.WALStats()
 		block := ShardSeries{
 			Shard:      i,
@@ -245,6 +255,7 @@ func (s *Server) MetricsV2() MetricsV2 {
 			Restarts:   g.Restarts(i),
 			Brownout:   sh.BrownoutState().String(),
 			Classes:    make(map[string]ClassSeries, preemptible.NumClasses),
+			Breakers:   make(map[string]BreakerSeries, preemptible.NumClasses),
 			Pool:       poolSeries(sh.Stats()),
 			WAL: WALSeries{
 				WalAppends:          wst.Appends,
@@ -256,10 +267,14 @@ func (s *Server) MetricsV2() MetricsV2 {
 		}
 		for c := 0; c < preemptible.NumClasses; c++ {
 			class := preemptible.Class(c)
-			series := classSeries(cs[c], sh.LatencySnapshot(class))
+			series := classSeries(cs[c], lat[c])
 			block.Classes[class.String()] = series
 			totals[c].add(series)
-			sh.MergeLatency(class, merged[c])
+			brk := BreakerSeries{State: "off"}
+			if b := sh.Breaker(class); b != nil {
+				brk = BreakerSeries{State: b.State(now).String(), Trips: b.Trips()}
+			}
+			block.Breakers[class.String()] = brk
 		}
 		m.Pool.add(block.Pool)
 		m.WAL.add(block.WAL)

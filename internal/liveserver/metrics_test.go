@@ -3,6 +3,7 @@ package liveserver
 import (
 	"bufio"
 	"flag"
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -63,9 +64,13 @@ func goldenDoc() MetricsV2 {
 		WAL:           walTot,
 		PerShard: []ShardSeries{
 			{Shard: 0, Health: "healthy", Generation: 1, Restarts: 1, Brownout: "brownout",
-				Classes: map[string]ClassSeries{"lc": halve(lc), "be": halve(be)}, Pool: halfPool, WAL: halfWAL},
+				Classes:  map[string]ClassSeries{"lc": halve(lc), "be": halve(be)},
+				Breakers: map[string]BreakerSeries{"lc": {State: "closed", Trips: 1}, "be": {State: "half-open", Trips: 3}},
+				Pool:     halfPool, WAL: halfWAL},
 			{Shard: 1, Health: "dead", Generation: 2, Restarts: 2, Brownout: "normal",
-				Classes: map[string]ClassSeries{"lc": halve(lc), "be": halve(be)}, Pool: halfPool, WAL: halfWAL},
+				Classes:  map[string]ClassSeries{"lc": halve(lc), "be": halve(be)},
+				Breakers: map[string]BreakerSeries{"lc": {State: "open", Trips: 2}, "be": {State: "closed", Trips: 1}},
+				Pool:     halfPool, WAL: halfWAL},
 		},
 	}
 }
@@ -243,6 +248,74 @@ func TestMetricsTotalsEqualShardSums(t *testing.T) {
 			t.Errorf("wire and /metrics disagree on totals.%s:\nwire %+v\nhttp %+v",
 				class, wire.Totals[class], httpDoc.Totals[class])
 		}
+	}
+}
+
+// TestMetricsScrapeConsistentUnderLoad scrapes MetricsV2 in a tight loop
+// while connections issue GET/SET, and requires every single document
+// to satisfy totals == Σ shards for every counter — latency_count
+// included, which needs each shard's histogram to be read once, not
+// once for its block and again for the totals — and latency_count ==
+// completed per shard and class (both move under one lock).
+func TestMetricsScrapeConsistentUnderLoad(t *testing.T) {
+	s, addr := startServer(t, Config{Shards: 4, Workers: 2})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			sc := bufio.NewScanner(conn)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				req := fmt.Sprintf("GET k%d-%d\n", w, i%64)
+				if i%2 == 0 {
+					req = fmt.Sprintf("SET k%d-%d v\n", w, i%64)
+				}
+				if _, err := conn.Write([]byte(req)); err != nil || !sc.Scan() {
+					t.Errorf("conn %d: request %d got no response (write err %v)", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	var completed uint64
+	deadline := time.Now().Add(3 * time.Second)
+	for docs := 0; docs < 300 || completed < 2000; docs++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("load too slow to exercise the scrape: %d documents, %d completed", docs, completed)
+		}
+		m := s.MetricsV2()
+		sums, _, _ := sumShardSeries(m)
+		for class, total := range m.Totals {
+			if got, want := stripQuantiles(total), stripQuantiles(sums[class]); got != want {
+				t.Fatalf("document %d: totals.%s != Σ shards:\n got %+v\nwant %+v", docs, class, got, want)
+			}
+		}
+		for _, sh := range m.PerShard {
+			for class, cs := range sh.Classes {
+				if cs.LatencyCount != cs.Completed {
+					t.Fatalf("document %d: shard %d %s latency_count %d != completed %d",
+						docs, sh.Shard, class, cs.LatencyCount, cs.Completed)
+				}
+			}
+		}
+		completed = m.Totals["lc"].Completed
 	}
 }
 

@@ -1,6 +1,6 @@
 package liveserver
 
-// Overload-protection tests: each shedding path (accept, admission,
+// Load-shedding tests: each shedding path (accept, admission,
 // queue timeout, line length) must reject explicitly, keep serving the
 // connections it admitted, and count exactly what it shed.
 
@@ -53,7 +53,7 @@ func TestConnStormSheds(t *testing.T) {
 			t.Fatalf("held conn PING after storm → %q", got)
 		}
 	}
-	if got := s.Overload.ShedConns; got != storm {
+	if got := s.MetricsV2().ShedConns; got != storm {
 		t.Fatalf("ShedConns = %d, want %d", got, storm)
 	}
 }
@@ -77,8 +77,8 @@ func TestInflightAdmissionSheds(t *testing.T) {
 	if !strings.HasPrefix(<-done, "COMPRESSED") {
 		t.Fatal("admitted compression was disturbed by the shed request")
 	}
-	if got := s.Overload.ShedRequests; got != 1 {
-		t.Fatalf("ShedRequests = %d, want 1", got)
+	if lc, _ := classTotals(s); lc.RejectedNormal != 1 {
+		t.Fatalf("inflight-cap rejections = %d, want 1", lc.RejectedNormal)
 	}
 	// Load has drained: the same request is admitted again.
 	if got := shortC.roundTrip(t, "PING"); got != "PONG" {
@@ -113,8 +113,8 @@ func TestRequestTimeoutSheds(t *testing.T) {
 	if got := <-getDone; got != "NOT_FOUND" {
 		t.Fatalf("GET → %q, want NOT_FOUND", got)
 	}
-	if got := s.Overload.Timeouts; got != 1 {
-		t.Fatalf("Timeouts = %d, want 1", got)
+	if lc, _ := classTotals(s); lc.Timeouts != 1 {
+		t.Fatalf("Timeouts = %d, want 1", lc.Timeouts)
 	}
 	if got := pingC.roundTrip(t, "PING"); got != "PONG" {
 		t.Fatalf("PING after drain → %q", got)
@@ -150,7 +150,7 @@ func TestLineTooLongClosesConn(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("connection still open after protocol violation: %v", err)
 	}
-	if got := s.Overload.LineTooLong; got != 1 {
+	if got := s.MetricsV2().LineTooLong; got != 1 {
 		t.Fatalf("LineTooLong = %d, want 1", got)
 	}
 }

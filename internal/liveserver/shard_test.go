@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/shard"
-	"repro/preemptible"
 )
 
 // keysOn generates n distinct keys that route to the given shard.
@@ -30,69 +29,116 @@ func keysOn(t *testing.T, g *shard.Group, shardIdx, n int) []string {
 	return out
 }
 
-// addCC folds src into dst field by field.
-func addCC(dst *shard.ClassCounters, src shard.ClassCounters) {
-	dst.Requests += src.Requests
-	for i := range dst.Rejected {
-		dst.Rejected[i] += src.Rejected[i]
+// checkConservation asserts the counter invariant on one quiesced
+// STATS v2 document. Nothing may be in flight when it is called. Every
+// shard and class balances — each request that reached a shard was
+// counted under exactly one outcome, so a Do return path that stops
+// counting breaks the equation — and every total equals the sum over
+// shards.
+func checkConservation(t *testing.T, s *Server) MetricsV2 {
+	t.Helper()
+	m := s.MetricsV2()
+	for _, sh := range m.PerShard {
+		for class, c := range sh.Classes {
+			outcomes := c.Completed + c.RejectedNormal + c.RejectedBrownout + c.RejectedShed +
+				c.Timeouts + c.Evicted + c.Failed + c.Unavailable +
+				c.ExpiredQueued + c.ExpiredExecuting + c.Cancelled
+			if c.Requests != outcomes {
+				t.Errorf("shard %d %s: requests %d != Σ outcomes %d: %+v", sh.Shard, class, c.Requests, outcomes, c)
+			}
+		}
 	}
-	dst.Timeouts += src.Timeouts
-	dst.Evicted += src.Evicted
-	dst.Failed += src.Failed
-	dst.Unavailable += src.Unavailable
-	dst.ExpiredQueued += src.ExpiredQueued
-	dst.ExpiredExecuting += src.ExpiredExecuting
-	dst.Cancelled += src.Cancelled
-	dst.Reattempts += src.Reattempts
-	dst.Completed += src.Completed
+	sums, _, _ := sumShardSeries(m)
+	for class, total := range m.Totals {
+		if got, want := stripQuantiles(total), stripQuantiles(sums[class]); got != want {
+			t.Errorf("totals.%s != Σ shards:\n got %+v\nwant %+v", class, got, want)
+		}
+	}
+	return m
 }
 
-// checkConservation asserts the tentpole counter invariant: every
-// server group-total admission counter equals the sum of the
-// corresponding per-shard counter over all shards — exactly, including
-// across shard restarts (shard counters live outside the pools a
-// restart throws away).
-func checkConservation(t *testing.T, s *Server) {
+// tally is a test client's own account of the traffic it drove — shard
+// legs sent per class, and the outcome each one came back with — kept
+// from the wire alone, so it is ground truth independent of any server
+// counter. A request is one leg, except MGET: one leg per shard its
+// keys route to, a failed leg showing as its keys' failure token.
+type tally struct {
+	c          *testClient
+	g          *shard.Group
+	legs       map[string]uint64 // class → shard legs sent
+	outcomes   map[string]uint64 // "ok", or the "ERR ..." line / MGET failure token
+	reattempts uint64
+}
+
+func newTally(c *testClient, g *shard.Group) *tally {
+	return &tally{c: c, g: g, legs: map[string]uint64{}, outcomes: map[string]uint64{}}
+}
+
+// do sends req (a well-formed request that reaches admission) and
+// records its legs and their outcomes.
+func (ty *tally) do(t *testing.T, req string) string {
 	t.Helper()
-	g := s.Group()
-	var sum [preemptible.NumClasses]shard.ClassCounters
-	for i := 0; i < g.N(); i++ {
-		cs := g.Shard(i).Counters()
-		for c := range sum {
-			addCC(&sum[c], cs[c])
+	resp := ty.c.roundTrip(t, req)
+	fields, meta, _ := parseMeta(strings.Fields(req))
+	class := "lc"
+	if fields[0] == "COMPRESS" {
+		class = "be"
+	}
+	record := func(outcome string) {
+		ty.legs[class]++
+		ty.outcomes[outcome]++
+		if meta.attempt > 0 {
+			ty.reattempts++
 		}
 	}
-	s.statMu.Lock()
-	ov := s.Overload
-	s.statMu.Unlock()
-	var cancelled uint64
-	for c := range sum {
-		pc := ov.PerClass[c]
-		sc := sum[c]
-		if pc.Requests != sc.Requests {
-			t.Errorf("class %d requests: server %d != Σshards %d", c, pc.Requests, sc.Requests)
+	switch {
+	case fields[0] == "MGET":
+		legs := map[int]string{} // shard → its leg's outcome
+		for i, tok := range strings.Fields(resp)[1:] {
+			outcome := "ok"
+			if tok != "NOT_FOUND" && !strings.HasPrefix(tok, "=") {
+				outcome = tok
+			}
+			legs[ty.g.Route([]byte(fields[1+i]))] = outcome
 		}
-		if pc.Rejected != sc.Rejected {
-			t.Errorf("class %d rejected: server %v != Σshards %v", c, pc.Rejected, sc.Rejected)
+		for _, outcome := range legs {
+			record(outcome)
 		}
-		if pc.Timeouts != sc.Timeouts || pc.Evicted != sc.Evicted || pc.Failed != sc.Failed {
-			t.Errorf("class %d timeouts/evicted/failed: server %d/%d/%d != Σshards %d/%d/%d",
-				c, pc.Timeouts, pc.Evicted, pc.Failed, sc.Timeouts, sc.Evicted, sc.Failed)
-		}
-		if pc.Unavailable != sc.Unavailable {
-			t.Errorf("class %d unavailable: server %d != Σshards %d", c, pc.Unavailable, sc.Unavailable)
-		}
-		if pc.ExpiredQueued != sc.ExpiredQueued || pc.ExpiredExecuting != sc.ExpiredExecuting {
-			t.Errorf("class %d expired: server %d/%d != Σshards %d/%d",
-				c, pc.ExpiredQueued, pc.ExpiredExecuting, sc.ExpiredQueued, sc.ExpiredExecuting)
-		}
-		if pc.Reattempts != sc.Reattempts {
-			t.Errorf("class %d reattempts: server %d != Σshards %d", c, pc.Reattempts, sc.Reattempts)
-		}
-		cancelled += sc.Cancelled
+	case strings.HasPrefix(resp, "ERR "):
+		record(resp)
+	default:
+		record("ok")
 	}
-	if got := ov.CancelledQueued + ov.CancelledExecuting; got != cancelled {
-		t.Errorf("cancelled: server %d != Σshards %d", got, cancelled)
+	return resp
+}
+
+// check asserts the server's counters agree with the tally (which must
+// have carried all of the server's traffic), on a quiesced server.
+func (ty *tally) check(t *testing.T, s *Server) {
+	t.Helper()
+	m := checkConservation(t, s)
+	lc, be := m.Totals["lc"], m.Totals["be"]
+	for _, row := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"lc requests", lc.Requests, ty.legs["lc"]},
+		{"be requests", be.Requests, ty.legs["be"]},
+		{"completed", lc.Completed + be.Completed, ty.outcomes["ok"]},
+		{"unavailable", lc.Unavailable + be.Unavailable, ty.outcomes["ERR unavailable"] + ty.outcomes["UNAVAILABLE"]},
+		{"expired", lc.ExpiredQueued + lc.ExpiredExecuting + be.ExpiredQueued + be.ExpiredExecuting,
+			ty.outcomes["ERR deadline"] + ty.outcomes["DEADLINE"]},
+		{"shed (rejected + timeouts + evicted)",
+			lc.RejectedNormal + lc.RejectedBrownout + lc.RejectedShed + lc.Timeouts + lc.Evicted +
+				be.RejectedNormal + be.RejectedBrownout + be.RejectedShed + be.Timeouts + be.Evicted,
+			ty.outcomes["ERR overloaded"] + ty.outcomes["OVERLOADED"] + ty.outcomes["ERR brownout"] + ty.outcomes["BROWNOUT"]},
+		{"failed", lc.Failed + be.Failed, ty.outcomes["ERR internal"] + ty.outcomes["ERROR"]},
+		{"cancelled", lc.Cancelled + be.Cancelled, ty.outcomes["ERR cancelled"] + ty.outcomes["CANCELLED"]},
+		{"reattempts", lc.Reattempts + be.Reattempts, ty.reattempts},
+	} {
+		if row.got != row.want {
+			t.Errorf("%s: STATS2 says %d, the client counted %d (outcomes %v)", row.name, row.got, row.want, ty.outcomes)
+		}
 	}
 }
 
@@ -119,26 +165,26 @@ func TestMGetFanoutAndOrder(t *testing.T) {
 	// key in request order: escaped values for hits, NOT_FOUND for
 	// misses — regardless of how the keys interleave across shards.
 	s, addr := startServer(t, Config{Shards: 4})
-	c := dial(t, addr)
-	if got := c.roundTrip(t, "SET alpha one"); got != "OK" {
+	c := newTally(dial(t, addr), s.Group())
+	if got := c.do(t, "SET alpha one"); got != "OK" {
 		t.Fatalf("SET → %q", got)
 	}
-	if got := c.roundTrip(t, "SET beta two words"); got != "OK" {
+	if got := c.do(t, "SET beta two words"); got != "OK" {
 		t.Fatalf("SET → %q", got)
 	}
-	if got := c.roundTrip(t, "SET gamma three"); got != "OK" {
+	if got := c.do(t, "SET gamma three"); got != "OK" {
 		t.Fatalf("SET → %q", got)
 	}
-	got := c.roundTrip(t, "MGET alpha nope beta gamma missing")
+	got := c.do(t, "MGET alpha nope beta gamma missing")
 	want := "MVALUES =one NOT_FOUND =two+words =three NOT_FOUND"
 	if got != want {
 		t.Fatalf("MGET → %q, want %q", got, want)
 	}
 	// Each shard leg counts as one LC request; totals stay conserved.
-	if s.Requests.MGet != 1 {
-		t.Fatalf("MGet counter = %d", s.Requests.MGet)
+	if n := s.Requests.MGet.Load(); n != 1 {
+		t.Fatalf("MGet counter = %d", n)
 	}
-	checkConservation(t, s)
+	c.check(t, s)
 }
 
 func TestMGetPartialFailure(t *testing.T) {
@@ -155,18 +201,18 @@ func TestMGetPartialFailure(t *testing.T) {
 		},
 	})
 	g := s.Group()
-	c := dial(t, addr)
+	c := newTally(dial(t, addr), g)
 	keys := make([]string, g.N())
 	for i := range keys {
 		keys[i] = keysOn(t, g, i, 1)[0]
-		if got := c.roundTrip(t, fmt.Sprintf("SET %s v%d", keys[i], i)); got != "OK" {
+		if got := c.do(t, fmt.Sprintf("SET %s v%d", keys[i], i)); got != "OK" {
 			t.Fatalf("SET %s → %q", keys[i], got)
 		}
 	}
 	const victim = 1
 	killToDead(t, s, victim, 1)
 
-	got := c.roundTrip(t, "MGET "+strings.Join(keys, " "))
+	got := c.do(t, "MGET "+strings.Join(keys, " "))
 	toks := strings.Fields(got)
 	if len(toks) != g.N()+1 || toks[0] != "MVALUES" {
 		t.Fatalf("MGET → %q", got)
@@ -183,27 +229,33 @@ func TestMGetPartialFailure(t *testing.T) {
 	// Single-key requests agree: the dead shard's keys answer
 	// "ERR unavailable", sibling keys still serve (their values survived
 	// the sibling's death — bulkheads share no store).
-	if got := c.roundTrip(t, "GET "+keys[victim]); got != "ERR unavailable" {
+	if got := c.do(t, "GET "+keys[victim]); got != "ERR unavailable" {
 		t.Fatalf("GET on dead shard → %q", got)
 	}
-	if got := c.roundTrip(t, "GET "+keys[0]); got != "VALUE v0" {
+	if got := c.do(t, "GET "+keys[0]); got != "VALUE v0" {
 		t.Fatalf("GET on live shard → %q", got)
 	}
-	// STATS renders the outage as exactly one degraded shard block.
-	stats := c.roundTrip(t, "STATS")
-	if !strings.Contains(stats, fmt.Sprintf("s%d.health=dead", victim)) {
-		t.Errorf("STATS missing dead shard field: %q", stats)
+	// STATS2 renders the outage as exactly one degraded shard block.
+	m, err := DecodeMetricsV2(c.c.roundTrip(t, "STATS2"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(stats, "s0.health=healthy") || !strings.Contains(stats, "s2.health=healthy") {
-		t.Errorf("STATS lost sibling health: %q", stats)
+	for _, sh := range m.PerShard {
+		want := "healthy"
+		if sh.Shard == victim {
+			want = "dead"
+		}
+		if sh.Health != want {
+			t.Errorf("STATS2 shard %d health %q, want %q", sh.Shard, sh.Health, want)
+		}
 	}
-	checkConservation(t, s)
+	c.check(t, s)
 }
 
 func TestShardRestartConservesCounters(t *testing.T) {
-	// Counter conservation across a restart: group STATS totals equal
-	// the sum over per-shard counters before a shard restart, after it,
-	// and with traffic on both sides of it. The restarted shard's
+	// Counter conservation across a restart: the STATS2 counters balance
+	// and agree with the client's own tally before a shard restart, after
+	// it, and with traffic on both sides of it. The restarted shard's
 	// pre-restart requests are not forgotten.
 	s, addr := startServer(t, Config{
 		Shards: 3,
@@ -214,40 +266,48 @@ func TestShardRestartConservesCounters(t *testing.T) {
 		},
 	})
 	g := s.Group()
-	c := dial(t, addr)
+	c := newTally(dial(t, addr), g)
 	traffic := func() {
 		for i := 0; i < g.N(); i++ {
 			k := keysOn(t, g, i, 1)[0]
-			c.roundTrip(t, fmt.Sprintf("SET %s v", k))
-			c.roundTrip(t, "GET "+k)
+			c.do(t, fmt.Sprintf("SET %s v", k))
+			c.do(t, "GET "+k)
 		}
-		c.roundTrip(t, "PING")
-		c.roundTrip(t, "COMPRESS 1")
-		c.roundTrip(t, "MGET "+strings.Join(keysOn(t, g, 0, 2), " ")+" "+keysOn(t, g, 2, 1)[0])
-		c.roundTrip(t, "GET re-check A1") // a reattempt, for the Reattempts column
+		c.do(t, "PING")
+		c.do(t, "COMPRESS 1")
+		c.do(t, "MGET "+strings.Join(keysOn(t, g, 0, 2), " ")+" "+keysOn(t, g, 2, 1)[0])
+		c.do(t, "GET re-check A1") // a reattempt, for the Reattempts column
+		c.do(t, "GET doomed D1")   // already expired, for the expiry columns
 	}
+	shard1LC := func() uint64 { return s.MetricsV2().PerShard[1].Classes["lc"].Requests }
 	traffic()
-	checkConservation(t, s)
-	pre := g.Shard(1).Counters()[preemptible.ClassLC].Requests
+	c.check(t, s)
+	pre := shard1LC()
 	if pre == 0 {
 		t.Fatal("no pre-restart traffic reached shard 1")
 	}
 
 	gen := g.Shard(1).Generation()
 	g.RestartShard(1)
+	// Mid-restart the shard's keys answer unavailable, and that is
+	// counted like everything else.
+	k1 := keysOn(t, g, 1, 1)[0]
+	if got := c.do(t, "GET "+k1); got != "ERR unavailable" && got != "VALUE v" && got != "NOT_FOUND" {
+		t.Fatalf("GET during restart → %q", got)
+	}
 	waitFor(t, 3*time.Second, func() bool {
 		return g.Shard(1).Health() == shard.Healthy && g.Shard(1).Generation() > gen
 	}, "manual shard restart")
 	traffic()
 
-	post := g.Shard(1).Counters()[preemptible.ClassLC].Requests
+	post := shard1LC()
 	if post <= pre {
 		t.Fatalf("shard 1 LC requests %d → %d: restart dropped counters", pre, post)
 	}
 	if got := g.Restarts(1); got != 1 {
 		t.Fatalf("restarts = %d, want 1", got)
 	}
-	checkConservation(t, s)
+	c.check(t, s)
 }
 
 // TestShardKillStormContainment is the fault-containment regression
@@ -356,16 +416,26 @@ func TestShardKillStormContainment(t *testing.T) {
 		ops, g.Restarts(victim), sk.Kills(victim))
 }
 
-func TestStatsShardFields(t *testing.T) {
+func TestStatsV2ShardFields(t *testing.T) {
 	s, addr := startServer(t, Config{Shards: 2})
-	c := dial(t, addr)
-	c.roundTrip(t, "SET k v")
-	stats := c.roundTrip(t, "STATS")
-	for _, want := range []string{" shards=2", "s0.health=healthy", "s1.health=healthy",
-		"s0.restarts=0", "s1.state=normal"} {
-		if !strings.Contains(stats, want) {
-			t.Errorf("STATS missing %q: %q", want, stats)
+	c := newTally(dial(t, addr), s.Group())
+	c.do(t, "SET k v")
+	m, err := DecodeMetricsV2(c.c.roundTrip(t, "STATS2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards != 2 || len(m.PerShard) != 2 {
+		t.Fatalf("STATS2 reports %d shards in %d blocks, want 2", m.Shards, len(m.PerShard))
+	}
+	for _, sh := range m.PerShard {
+		if sh.Health != "healthy" || sh.Restarts != 0 || sh.Brownout != "normal" {
+			t.Errorf("STATS2 shard %d block: %+v", sh.Shard, sh)
+		}
+		for _, class := range []string{"lc", "be"} {
+			if got := sh.Breakers[class]; got != (BreakerSeries{State: "closed"}) {
+				t.Errorf("STATS2 shard %d %s breaker = %+v, want closed with 0 trips", sh.Shard, class, got)
+			}
 		}
 	}
-	checkConservation(t, s)
+	c.check(t, s)
 }

@@ -54,8 +54,8 @@ func TestGroupServesAllShards(t *testing.T) {
 		}
 	}
 	for i := 0; i < g.N(); i++ {
-		c := g.Shard(i).Counters()[preemptible.ClassLC]
-		if c.Requests != 1 || c.Completed != 1 {
+		cs, _ := g.Shard(i).Snapshot(nil)
+		if c := cs[preemptible.ClassLC]; c.Requests != 1 || c.Completed != 1 {
 			t.Fatalf("shard %d counters: %+v", i, c)
 		}
 	}
@@ -217,7 +217,7 @@ func TestCountersSurviveRestart(t *testing.T) {
 		}
 	}
 
-	c := s.Counters()
+	c, _ := s.Snapshot(nil)
 	if lc := c[preemptible.ClassLC]; lc.Requests != before || lc.Completed != before {
 		t.Fatalf("LC counters lost in restart: %+v", lc)
 	}

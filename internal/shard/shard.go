@@ -22,8 +22,9 @@
 // recovers the partition from snapshot+log, so acknowledged writes
 // survive both supervised restarts and whole-process crashes. The
 // shard's admission counters live in the Shard, not the pool, and
-// survive restarts, so conservation invariants hold across the whole
-// lifecycle; WAL counters accumulate the same way across generations.
+// survive restarts — they are the server's only admission counters, so
+// every group total is a read-time sum over shards (DESIGN.md, "Counter
+// invariant"); WAL counters accumulate the same way across generations.
 package shard
 
 import (
@@ -123,12 +124,6 @@ type Config struct {
 	// WALFS overrides the WAL's filesystem (chaos fault injection);
 	// nil = the OS.
 	WALFS wal.FS
-	// WALLie builds a deliberately broken durability layer: SETs are
-	// acknowledged as durable without being logged, so every restart
-	// silently loses them. It exists to prove the soak checker's
-	// durability invariant catches a lying WAL; never set it outside
-	// tests.
-	WALLie bool
 }
 
 func (c Config) withDefaults() Config {
@@ -156,8 +151,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Outcome is a request's terminal disposition on a shard — the wire
-// layer maps each to a response line and a counter.
+// Outcome is a request's terminal disposition on a shard — Do counts
+// it, the wire layer maps it to a response line.
 type Outcome int
 
 const (
@@ -232,9 +227,10 @@ type Result struct {
 	BState brownout.State
 }
 
-// ClassCounters is one shard's per-class admission tally. It lives in
-// the Shard, not the pool, so it survives restarts — group totals must
-// equal the sum over shards even after a shard was drained and rebuilt.
+// ClassCounters is one shard's per-class admission tally, as a plain
+// value (see Shard.Snapshot). At quiescence Requests equals the sum of
+// every other field except Reattempts: each Do call counts exactly one
+// outcome.
 type ClassCounters struct {
 	// Requests counts Do calls for the class that reached the shard.
 	Requests uint64
@@ -253,10 +249,41 @@ type ClassCounters struct {
 	Unavailable uint64
 	// ExpiredQueued/ExpiredExecuting count wire-deadline expiries.
 	ExpiredQueued, ExpiredExecuting uint64
-	// Cancelled counts Gone-cancelled requests (both stages).
+	// Cancelled counts Gone-cancelled requests (both stages; the pool's
+	// PoolStats splits them into queued and executing).
 	Cancelled uint64
 	// Reattempts counts admitted requests marked attempt ≥ 1.
 	Reattempts uint64
+}
+
+// classCounters is the live form of ClassCounters: each field is bumped
+// in place by the Do call that decides it, with no lock.
+type classCounters struct {
+	requests, completed             atomic.Uint64
+	rejected                        [brownout.NumStates]atomic.Uint64
+	timeouts, evicted               atomic.Uint64
+	failed, unavailable             atomic.Uint64
+	expiredQueued, expiredExecuting atomic.Uint64
+	cancelled, reattempts           atomic.Uint64
+}
+
+func (c *classCounters) load() ClassCounters {
+	out := ClassCounters{
+		Requests:         c.requests.Load(),
+		Completed:        c.completed.Load(),
+		Timeouts:         c.timeouts.Load(),
+		Evicted:          c.evicted.Load(),
+		Failed:           c.failed.Load(),
+		Unavailable:      c.unavailable.Load(),
+		ExpiredQueued:    c.expiredQueued.Load(),
+		ExpiredExecuting: c.expiredExecuting.Load(),
+		Cancelled:        c.cancelled.Load(),
+		Reattempts:       c.reattempts.Load(),
+	}
+	for i := range c.rejected {
+		out.Rejected[i] = c.rejected[i].Load()
+	}
+	return out
 }
 
 // DoOptions carries one request's scheduling metadata into a shard.
@@ -271,8 +298,9 @@ type DoOptions struct {
 }
 
 // unit is one generation of a shard's rebuildable internals: everything
-// a restart throws away and recreates. Swapping the whole struct under
-// one mutex keeps Do's snapshot race-free against a concurrent rebuild.
+// a restart throws away and recreates. Swapping the whole struct behind
+// one atomic pointer keeps Do's snapshot race-free against a concurrent
+// rebuild.
 type unit struct {
 	pool   *preemptible.Pool
 	store  *mica.Store
@@ -304,14 +332,18 @@ type Shard struct {
 	rt  *preemptible.Runtime
 	cfg Config
 
+	// cur is the live generation: read lock-free on the request path,
+	// swapped only by rebuild, under mu — which also guards gen and the
+	// retired accumulators, so Stats/WALStats pair them with the
+	// generation they belong to.
+	cur atomic.Pointer[unit]
 	mu  sync.Mutex
-	cur *unit
 	gen uint64
 
 	// storeMu serializes store access AND its WAL append: DurableSet
 	// holds it across Set+Append so log order equals apply order.
 	// (Recovery writes need no lock — they land on a unit that is not
-	// yet installed as s.cur.)
+	// yet installed as cur.)
 	storeMu sync.Mutex
 	// walRetired accumulates retired generations' WAL counters, like
 	// the retired pool stats; snapWG tracks in-flight async snapshot
@@ -329,14 +361,16 @@ type Shard struct {
 	// PoolStats; Stats() adds the live pool on top.
 	retired preemptible.PoolStats
 
-	statMu   sync.Mutex
-	counters [preemptible.NumClasses]ClassCounters
+	counters [preemptible.NumClasses]classCounters
 	// lat records completed requests' end-to-end shard latency
 	// (admission to done callback) in microseconds, per class. Like the
 	// admission counters it lives in the Shard, not the unit, so the
 	// distribution survives restarts and group totals stay a pure merge
-	// over shards. Guarded by statMu (Histogram is not concurrency-safe).
-	lat [preemptible.NumClasses]*stats.Histogram
+	// over shards. Guarded by latMu (Histogram is not concurrency-safe);
+	// completed is bumped under the same lock, so a Snapshot always sees
+	// latency count == completed.
+	latMu sync.Mutex
+	lat   [preemptible.NumClasses]*stats.Histogram
 }
 
 // newShard builds a healthy shard and starts its brownout loop.
@@ -345,9 +379,7 @@ func newShard(rt *preemptible.Runtime, idx int, cfg Config) *Shard {
 	for c := range s.lat {
 		s.lat[c] = stats.NewHistogram()
 	}
-	s.mu.Lock()
-	s.cur = s.buildUnit()
-	s.mu.Unlock()
+	s.cur.Store(s.buildUnit())
 	return s
 }
 
@@ -393,12 +425,7 @@ func (s *Shard) buildUnit() *unit {
 }
 
 // snapshot returns the current generation.
-func (s *Shard) snapshot() *unit {
-	s.mu.Lock()
-	u := s.cur
-	s.mu.Unlock()
-	return u
-}
+func (s *Shard) snapshot() *unit { return s.cur.Load() }
 
 // Index reports the shard's position in its group.
 func (s *Shard) Index() int { return s.idx }
@@ -456,7 +483,7 @@ func (s *Shard) DurableSet(key, value []byte) (ok bool, err error) {
 	ok = u.store.Set(key, value)
 	var lsn uint64
 	var aerr error
-	if ok && u.wal != nil && !s.cfg.WALLie {
+	if ok && u.wal != nil {
 		lsn, aerr = u.wal.Append(key, value)
 	}
 	s.storeMu.Unlock()
@@ -466,7 +493,7 @@ func (s *Shard) DurableSet(key, value []byte) (ok bool, err error) {
 	if u.walErr != nil {
 		return true, u.walErr
 	}
-	if u.wal == nil || s.cfg.WALLie {
+	if u.wal == nil {
 		return true, nil
 	}
 	if aerr != nil {
@@ -508,7 +535,7 @@ func (s *Shard) maybeSnapshot(u *unit) {
 func (s *Shard) WALStats() wal.Stats {
 	s.mu.Lock()
 	st := s.walRetired
-	u := s.cur
+	u := s.cur.Load()
 	s.mu.Unlock()
 	if u.wal != nil {
 		st.Add(u.wal.Stats())
@@ -535,30 +562,27 @@ func (s *Shard) Breaker(class preemptible.Class) *breaker.Breaker {
 // Inflight reports the shard's currently admitted request count.
 func (s *Shard) Inflight() int64 { return s.inflight.Load() }
 
-// Counters snapshots the shard's per-class admission counters.
-func (s *Shard) Counters() [preemptible.NumClasses]ClassCounters {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.counters
-}
-
-// LatencySnapshot summarizes the shard's completed-request latency
-// distribution for class, in microseconds. The distribution accumulates
-// across restarts, exactly like the admission counters.
-func (s *Shard) LatencySnapshot(class preemptible.Class) stats.Snapshot {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.lat[class].Snapshot()
-}
-
-// MergeLatency merges the shard's recorded latency distribution for
-// class into dst (same precision required: both sides use
-// stats.NewHistogram). This is how the metrics plane computes group
-// quantiles as a true distribution merge rather than a max over shards.
-func (s *Shard) MergeLatency(class preemptible.Class, dst *stats.Histogram) {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	dst.Merge(s.lat[class])
+// Snapshot reads the shard's per-class admission counters and
+// completed-request latency summaries (microseconds) in one acquisition
+// of the histogram lock, and merges the same histograms into merged
+// when it is non-nil (same precision required: both sides use
+// stats.NewHistogram). One call feeds both a per-shard block and the
+// group totals, so a document built from it cannot disagree with itself;
+// the merge makes group quantiles a true distribution merge rather than
+// a max over shards. Both accumulate across restarts.
+func (s *Shard) Snapshot(merged *[preemptible.NumClasses]*stats.Histogram) (
+	cs [preemptible.NumClasses]ClassCounters, lat [preemptible.NumClasses]stats.Snapshot,
+) {
+	s.latMu.Lock()
+	defer s.latMu.Unlock()
+	for c := range s.counters {
+		cs[c] = s.counters[c].load()
+		lat[c] = s.lat[c].Snapshot()
+		if merged != nil {
+			merged[c].Merge(s.lat[c])
+		}
+	}
+	return cs, lat
 }
 
 // Stats reports the shard's pool counters accumulated across every
@@ -568,7 +592,7 @@ func (s *Shard) MergeLatency(class preemptible.Class, dst *stats.Histogram) {
 func (s *Shard) Stats() preemptible.PoolStats {
 	s.mu.Lock()
 	retired := s.retired
-	pool := s.cur.pool
+	pool := s.cur.Load().pool
 	s.mu.Unlock()
 	live := pool.Stats()
 	addPoolStats(&live, retired)
@@ -601,12 +625,6 @@ func addPoolStats(dst *preemptible.PoolStats, src preemptible.PoolStats) {
 		d.ExpiredExecuting += sc.ExpiredExecuting
 		d.Failed += sc.Failed
 	}
-}
-
-func (s *Shard) countClass(class preemptible.Class, f func(*ClassCounters)) {
-	s.statMu.Lock()
-	f(&s.counters[class])
-	s.statMu.Unlock()
 }
 
 // brownoutLoop samples one generation's load at the configured period
@@ -643,29 +661,28 @@ func (s *Shard) brownoutLoop(u *unit) {
 }
 
 // Do pushes one request task through the shard's overload-protected,
-// class-aware admission path — the bulkhead twin of the pre-sharding
-// liveserver runTask, with one extra gate in front: a shard that is
-// Restarting or Dead answers Unavailable before any load logic runs.
-// The admission order after that gate is unchanged: SHED rejects
-// everyone, BROWNOUT rejects BE (LC bypasses the inflight cap), the
-// inflight cap rejects, then the class's circuit breaker. See the
-// package comment for the partial-failure contract.
+// class-aware admission path and counts its outcome — exactly one
+// counter per call, on every return path. The first gate is lifecycle:
+// a shard that is Restarting or Dead answers Unavailable before any
+// load logic runs. Then SHED rejects everyone, BROWNOUT rejects BE (LC
+// bypasses the inflight cap), the inflight cap rejects, then the class's
+// circuit breaker. See the package comment for the partial-failure
+// contract.
 func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOptions) Result {
 	st := s.BrownoutState()
-	s.countClass(class, func(c *ClassCounters) {
-		c.Requests++
-		if opts.Attempt > 0 {
-			c.Reattempts++
-		}
-	})
+	c := &s.counters[class]
+	c.requests.Add(1)
+	if opts.Attempt > 0 {
+		c.reattempts.Add(1)
+	}
 	if s.Health() != Healthy {
-		s.countClass(class, func(c *ClassCounters) { c.Unavailable++ })
+		c.unavailable.Add(1)
 		return Result{Unavailable, st}
 	}
 	u := s.snapshot()
 	if st == brownout.Shed || (st == brownout.Brownout && class == preemptible.ClassBE) {
 		s.rejectsWin.Add(1)
-		s.countClass(class, func(c *ClassCounters) { c.Rejected[st]++ })
+		c.rejected[st].Add(1)
 		if st == brownout.Shed {
 			return Result{RejectedShed, st}
 		}
@@ -675,7 +692,7 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 	if n := s.inflight.Add(1); s.cfg.MaxInflight > 0 && n > int64(s.cfg.MaxInflight) && !lcBypass {
 		s.inflight.Add(-1)
 		s.rejectsWin.Add(1)
-		s.countClass(class, func(c *ClassCounters) { c.Rejected[st]++ })
+		c.rejected[st].Add(1)
 		return Result{RejectedInflight, st}
 	}
 	// Circuit breaker, last gate before the pool. Breaker rejects are
@@ -685,7 +702,7 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 	br := u.breakers[class]
 	if br != nil && !br.Allow(time.Now()) {
 		s.inflight.Add(-1)
-		s.countClass(class, func(c *ClassCounters) { c.Unavailable++ })
+		c.unavailable.Add(1)
 		return Result{Unavailable, st}
 	}
 	if s.cfg.PanicInject != nil && s.cfg.PanicInject(class) {
@@ -712,7 +729,7 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 		if br != nil {
 			br.Abandon(time.Now())
 		}
-		s.countClass(class, func(c *ClassCounters) { c.Unavailable++ })
+		c.unavailable.Add(1)
 		return Result{Unavailable, st}
 	}
 	var lat time.Duration
@@ -733,13 +750,13 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 		if br != nil {
 			br.Failure(time.Now())
 		}
-		s.countClass(class, func(c *ClassCounters) { c.Failed++ })
+		c.failed.Add(1)
 		return Result{Failed, st}
 	case lat == preemptible.CancelledLatency:
 		if br != nil {
 			br.Abandon(time.Now())
 		}
-		s.countClass(class, func(c *ClassCounters) { c.Cancelled++ })
+		c.cancelled.Add(1)
 		if h.State() == preemptible.TaskCancelledQueued {
 			return Result{CancelledQueued, st}
 		}
@@ -749,10 +766,10 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 			br.Abandon(time.Now())
 		}
 		if h.State() == preemptible.TaskExpiredQueued {
-			s.countClass(class, func(c *ClassCounters) { c.ExpiredQueued++ })
+			c.expiredQueued.Add(1)
 			return Result{ExpiredQueued, st}
 		}
-		s.countClass(class, func(c *ClassCounters) { c.ExpiredExecuting++ })
+		c.expiredExecuting.Add(1)
 		return Result{ExpiredExecuting, st}
 	case lat < 0:
 		// Shed from the queue: a brownout eviction (BE, while degraded)
@@ -762,19 +779,19 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 		}
 		now := s.BrownoutState()
 		if class == preemptible.ClassBE && now != brownout.Normal {
-			s.countClass(class, func(c *ClassCounters) { c.Evicted++ })
+			c.evicted.Add(1)
 			return Result{Evicted, now}
 		}
-		s.countClass(class, func(c *ClassCounters) { c.Timeouts++ })
+		c.timeouts.Add(1)
 		return Result{Timeout, now}
 	}
 	if br != nil {
 		br.Success(time.Now())
 	}
-	s.statMu.Lock()
-	s.counters[class].Completed++
+	s.latMu.Lock()
+	c.completed.Add(1)
 	s.lat[class].Record(lat.Microseconds())
-	s.statMu.Unlock()
+	s.latMu.Unlock()
 	return Result{OK, st}
 }
 
@@ -849,7 +866,7 @@ func (s *Shard) Wedge() {
 // Healthy so no new work lands on the dying pool.
 func (s *Shard) retire(ctx context.Context) {
 	s.mu.Lock()
-	u := s.cur
+	u := s.cur.Load()
 	if u.retired {
 		s.mu.Unlock()
 		return
@@ -890,7 +907,7 @@ func (s *Shard) rebuild(ctx context.Context) {
 	}
 	s.retire(ctx)
 	s.mu.Lock()
-	s.cur = s.buildUnit()
+	s.cur.Store(s.buildUnit())
 	s.gen++
 	s.mu.Unlock()
 	if !s.casHealth(Restarting, Healthy) {

@@ -79,38 +79,6 @@ func TestDurableSetSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestWALLieLosesAcknowledgedWrites proves the broken build behaves as
-// designed: WALLie acks without logging, so a restart silently loses
-// everything — exactly the failure the soak durability checker must
-// catch.
-func TestWALLieLosesAcknowledgedWrites(t *testing.T) {
-	testutil.CheckGoroutineLeaks(t)
-	rt := newTestRuntime(t)
-	g := NewGroup(rt, 1, Config{Workers: 1, WALDir: t.TempDir(), WALLie: true},
-		SuperviseConfig{Disabled: true, RestartDrain: 100 * time.Millisecond})
-	defer g.Close()
-	s := g.Shard(0)
-
-	for i := 0; i < 10; i++ {
-		k := []byte(fmt.Sprintf("lie-%02d", i))
-		if ok, err := s.DurableSet(k, []byte("acked")); !ok || err != nil {
-			t.Fatalf("lying DurableSet %d = (%v, %v) — it must still ack", i, ok, err)
-		}
-	}
-	if st := s.WALStats(); st.Appends != 0 {
-		t.Fatalf("lying WAL logged %d appends, want 0", st.Appends)
-	}
-	g.RestartShard(0)
-	waitFor(t, 2*time.Second, func() bool { return s.Health() == Healthy && s.Generation() == 1 },
-		"restart did not complete")
-	for i := 0; i < 10; i++ {
-		k := []byte(fmt.Sprintf("lie-%02d", i))
-		if r := s.StoreGet(k); r.Hit {
-			t.Fatalf("lying WAL unexpectedly preserved %q", k)
-		}
-	}
-}
-
 // TestNoWALRestartsEmpty pins the pre-durability behavior: without
 // WALDir a rebuild still restarts with an empty partition.
 func TestNoWALRestartsEmpty(t *testing.T) {

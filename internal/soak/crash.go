@@ -10,8 +10,9 @@
 //
 // Unacknowledged SETs may or may not survive (the crash raced the
 // fsync); acknowledged ones must. The WALLie knob inverts the build —
-// acks without logging — and the same checker must then report losses,
-// proving the harness has teeth (see TestSoakCrashCatchesLyingWAL).
+// the child's WAL runs on a chaos.FS that silently drops every write — and
+// the same checker must then report losses, proving the harness has
+// teeth (see TestSoakCrashCatchesLyingWAL).
 package soak
 
 import (
@@ -78,15 +79,23 @@ func crashServerMain() int {
 	if err != nil {
 		return fail(err)
 	}
-	srv := liveserver.New(rt, liveserver.Config{
+	cfg := liveserver.Config{
 		Shards:        shards,
 		Workers:       2,
 		Quantum:       500 * time.Microsecond,
 		WALDir:        os.Getenv(crashWALDirEnv),
 		WALSync:       mode,
 		SnapshotEvery: snapEvery,
-		WALLie:        os.Getenv(crashWALLieEnv) == "1",
-	})
+	}
+	if os.Getenv(crashWALLieEnv) == "1" {
+		// The deliberately broken durability build: past its first byte
+		// the filesystem reports every write as done and keeps none of
+		// it, and the server runs its real DurableSet path on top —
+		// append, fsync, ack — so each acknowledged SET is gone after
+		// the next SIGKILL, which the durability checker must report.
+		cfg.WALFS = chaos.NewFS(nil, chaos.FSConfig{CrashAtBytes: 1})
+	}
+	srv := liveserver.New(rt, cfg)
 	ln, err := net.Listen("tcp", os.Getenv(crashAddrEnv))
 	if err != nil {
 		return fail(err)

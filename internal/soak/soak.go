@@ -77,9 +77,10 @@ type Config struct {
 	// the child server's restarts (empty = a temp dir removed at the
 	// end; set it to keep the WAL for post-mortem).
 	WALDir string
-	// WALLie makes the crash scenario's child server ack SETs without
-	// logging them — the deliberately broken build the durability
-	// checker must catch. Test-only.
+	// WALLie runs the crash scenario's child server on a WAL filesystem
+	// that silently drops every write (a chaos.FS crash point at byte
+	// 1) — the deliberately broken build the durability checker must
+	// catch. Test-only.
 	WALLie bool
 }
 

@@ -190,8 +190,8 @@ func TestSoakCrashShort(t *testing.T) {
 }
 
 // TestSoakCrashCatchesLyingWAL proves the durability checker has
-// teeth: with WALLie the child acknowledges SETs without logging them,
-// so crashes lose acked writes — and the soak must say so.
+// teeth: with WALLie the child's WAL writes go nowhere, so it
+// acknowledges SETs no crash can recover — and the soak must say so.
 func TestSoakCrashCatchesLyingWAL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash soak needs wall-clock time and process restarts")

@@ -2,7 +2,6 @@ package tailclient
 
 import (
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -45,16 +44,17 @@ func TestAgainstLiveServer(t *testing.T) {
 	if st.Expired != 0 || st.Aborted != 0 {
 		t.Fatalf("steady state expired=%d aborted=%d, want 0/0", st.Expired, st.Aborted)
 	}
-	stats, err := c.Do("STATS")
+	stats, err := c.Do("STATS2")
 	if err != nil || stats.Outcome != OK {
-		t.Fatalf("STATS: res=%+v err=%v", stats, err)
+		t.Fatalf("STATS2: res=%+v err=%v", stats, err)
 	}
-	for _, want := range []string{
-		"lc.expired.queued=0", "lc.expired.executing=0",
-		"be.expired.queued=0", "be.expired.executing=0",
-	} {
-		if !strings.Contains(stats.Resp, want) {
-			t.Fatalf("STATS %q missing %q: deadline-carrying steady-state traffic expired", stats.Resp, want)
+	m, err := liveserver.DecodeMetricsV2(stats.Resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for class, cs := range m.Totals {
+		if cs.ExpiredQueued != 0 || cs.ExpiredExecuting != 0 {
+			t.Fatalf("deadline-carrying steady-state traffic expired server-side: %s %+v", class, cs)
 		}
 	}
 }
