@@ -3,6 +3,7 @@ package liveserver
 import (
 	"testing"
 
+	"repro/internal/testutil"
 	"repro/preemptible"
 )
 
@@ -75,4 +76,26 @@ func BenchmarkHotPathStatsV2Encode(b *testing.B) {
 			b.Fatalf("STATS2: %q", line)
 		}
 	}
+}
+
+// TestAllocBudgetHandleLineGET pins the GET path's allocations: the
+// field split, the key, the response and its closures — nothing below
+// shard.Do (17 before the context free list, and the issue that
+// introduced it allowed 8).
+func TestAllocBudgetHandleLineGET(t *testing.T) {
+	rt, err := preemptible.New(preemptible.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	s := New(rt, Config{Shards: 1})
+	defer s.Close()
+	if resp := s.HandleLine("SET k v"); resp != "OK" {
+		t.Fatalf("seed SET: %q", resp)
+	}
+	testutil.AllocBudget(t, `HandleLine("GET k")`, 6, func() {
+		if resp := s.HandleLine("GET k"); resp != "VALUE v" {
+			t.Fatalf("GET: %q", resp)
+		}
+	})
 }

@@ -554,10 +554,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		if s.writeTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)) //nolint:errcheck
 		}
-		_, werr := w.WriteString(resp + "\n")
-		if werr == nil {
-			werr = w.Flush()
-		}
+		// Response and newline go into the buffer separately (joining
+		// them first would allocate and copy the whole response again);
+		// a bufio.Writer's error is sticky, so Flush reports all three.
+		w.WriteString(resp) //nolint:errcheck
+		w.WriteByte('\n')   //nolint:errcheck
+		werr := w.Flush()
 		if werr != nil {
 			if errors.Is(werr, os.ErrDeadlineExceeded) {
 				s.writeTimeouts.Add(1)
@@ -932,7 +934,10 @@ func (s *Server) handleMGet(keys []string, meta reqMeta, gone <-chan struct{}) s
 			// The leg's task fills its keys' tokens with no safepoint in
 			// between: it either ran (every token set) or it did not run
 			// at all, so a failure token never overwrites a real value.
-			res := s.group.Do(idx, preemptible.ClassLC, func(ctx *preemptible.Ctx) {
+			// (sh.Do, not group.Do: a leg is a new goroutine on a 2 KiB
+			// stack, and the wait at the bottom of Do sits within a frame
+			// or two of making every leg grow it.)
+			res := sh.Do(preemptible.ClassLC, func(ctx *preemptible.Ctx) {
 				sh.StoreView(func(st *mica.Store) {
 					for _, i := range kidx {
 						r := st.Get([]byte(keys[i]))

@@ -264,3 +264,20 @@ func TestKeyedRoutingUnaffectedByOutage(t *testing.T) {
 		t.Fatalf("route moved after recovery: %d → %d", home, got)
 	}
 }
+
+// TestAllocBudgetGroupDo: an admitted request with an empty task goes
+// through the shard's gates, the pool's synchronous entry and a launch
+// on the worker's spare context without allocating (14 before the
+// context free list, and the issue that introduced it allowed 3).
+func TestAllocBudgetGroupDo(t *testing.T) {
+	rt := newTestRuntime(t)
+	g := NewGroup(rt, 1, Config{Workers: 1, RequestTimeout: time.Second}, SuperviseConfig{Disabled: true})
+	defer g.Close()
+	task := func(*preemptible.Ctx) {}
+	opts := DoOptions{Deadline: time.Now().Add(time.Hour)}
+	testutil.AllocBudget(t, "Group.Do", 0, func() {
+		if res := g.Do(0, preemptible.ClassLC, task, opts); res.Outcome != OK {
+			t.Fatalf("outcome %v", res.Outcome)
+		}
+	})
+}

@@ -711,39 +711,24 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 			panic("chaos: injected panic")
 		}
 	}
-	ch := make(chan time.Duration, 1)
-	done := func(lat time.Duration) {
-		s.inflight.Add(-1)
-		ch <- lat
-	}
-	h, err := u.pool.SubmitWithOptions(task, preemptible.SubmitOptions{
+	// The pool's synchronous entry: submit, wait for the task to settle,
+	// and — when the client disconnects first (Gone) — evict or unwind
+	// it, then wait for the settlement that always eventually comes.
+	lat, state, err := u.pool.SubmitWaitWithOptions(task, preemptible.SubmitOptions{
 		Class:         class,
 		Deadline:      opts.Deadline,
 		Expire:        !opts.Deadline.IsZero(),
 		PickupTimeout: s.cfg.RequestTimeout,
-	}, done)
+	}, opts.Gone)
+	s.inflight.Add(-1)
 	if err != nil {
 		// Pool draining or closed — the shard is being torn down under
 		// us; same signal as the lifecycle gate.
-		s.inflight.Add(-1)
 		if br != nil {
 			br.Abandon(time.Now())
 		}
 		c.unavailable.Add(1)
 		return Result{Unavailable, st}
-	}
-	var lat time.Duration
-	if opts.Gone == nil {
-		lat = <-ch
-	} else {
-		select {
-		case lat = <-ch:
-		case <-opts.Gone:
-			// Client disconnected mid-request: evict or unwind, then wait
-			// for the done that always eventually fires.
-			h.Cancel()
-			lat = <-ch
-		}
 	}
 	switch {
 	case lat == preemptible.FailedLatency:
@@ -757,7 +742,7 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 			br.Abandon(time.Now())
 		}
 		c.cancelled.Add(1)
-		if h.State() == preemptible.TaskCancelledQueued {
+		if state == preemptible.TaskCancelledQueued {
 			return Result{CancelledQueued, st}
 		}
 		return Result{CancelledExecuting, st}
@@ -765,7 +750,7 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 		if br != nil {
 			br.Abandon(time.Now())
 		}
-		if h.State() == preemptible.TaskExpiredQueued {
+		if state == preemptible.TaskExpiredQueued {
 			c.expiredQueued.Add(1)
 			return Result{ExpiredQueued, st}
 		}
@@ -801,24 +786,14 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 // for it to complete. A wedged pool never picks the probe up; the probe
 // is then cancelled so it cannot pile up behind its siblings.
 func (s *Shard) probe(timeout time.Duration) bool {
-	u := s.snapshot()
-	ch := make(chan time.Duration, 1)
-	h, err := u.pool.SubmitWithOptions(func(*preemptible.Ctx) {}, preemptible.SubmitOptions{
+	giveUp := make(chan struct{})
+	t := time.AfterFunc(timeout, func() { close(giveUp) })
+	defer t.Stop()
+	lat, _, err := s.snapshot().pool.SubmitWaitWithOptions(func(*preemptible.Ctx) {}, preemptible.SubmitOptions{
 		Class:         preemptible.ClassLC,
 		PickupTimeout: timeout,
-	}, func(lat time.Duration) { ch <- lat })
-	if err != nil {
-		return false
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case lat := <-ch:
-		return lat >= 0
-	case <-t.C:
-		h.Cancel()
-		return false
-	}
+	}, giveUp)
+	return err == nil && lat >= 0
 }
 
 // Wedge simulates a hard shard failure: every worker is occupied by a

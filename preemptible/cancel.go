@@ -120,22 +120,52 @@ func (s TaskState) Expired() bool {
 	return s == TaskExpiredQueued || s == TaskExpiredExecuting
 }
 
-// taskState is the shared record between a queue entry, the executing
-// Ctx, and the TaskHandle. status transitions are serialized by the
-// pool's mutex; cancelReq is the lock-free flag the task's safepoints
-// poll (the cancellation analog of the preemption flag).
+// taskState is the one record of a submission, shared by its queue
+// entry, the executing Ctx, and the TaskHandle. status transitions are
+// serialized by the pool's mutex; cancelReq is the lock-free flag the
+// task's safepoints poll (the cancellation analog of the preemption
+// flag). Everything else is set at submit and read-only afterwards,
+// except fn, which belongs to whichever worker popped the task.
 type taskState struct {
 	status    TaskState // guarded by Pool.mu
-	class     Class     // set at submit, read-only afterwards
+	class     Class
 	cancelReq atomic.Uint32
-	// expires is the hard completion deadline in unixnanos (0 = none),
-	// set at submit and read-only afterwards. Workers consult it at
-	// dequeue; the task's Ctx consults it at safepoints.
+	// expires is the hard completion deadline in unixnanos (0 = none).
+	// Workers consult it at dequeue; the task's Ctx consults it at
+	// safepoints.
 	expires int64
-	done    func(time.Duration)
+	// done, when non-nil, is called with the task's latency (or a
+	// negative sentinel) exactly once, when the task settles.
+	done func(time.Duration)
 	// failure is the captured panic of a TaskFailed task (guarded by
 	// Pool.mu, set exactly once when the status becomes TaskFailed).
 	failure *TaskError
+
+	task    Task
+	arrival time.Time
+	// pickup, when non-zero, is the pickup deadline: a worker reaching
+	// the task after it sheds instead of running it.
+	pickup time.Time
+	// deadline, when non-zero, is the SLO deadline that orders the task
+	// under EDF; with expires set it is the same instant.
+	deadline time.Time
+	// fn is the task's preemptible function from its first launch on.
+	fn Fn
+	// wake, on a SubmitWaitWithOptions record, receives what done would
+	// have been called with. It has room for the one value a submission
+	// ever settles with, so settling never blocks a worker.
+	wake chan time.Duration
+}
+
+// settle reports the task's outcome to whoever submitted it. The send
+// is the pool's last touch of a SubmitWaitWithOptions record: its waiter
+// may recycle it as soon as the value arrives.
+func (st *taskState) settle(lat time.Duration) {
+	if st.wake != nil {
+		st.wake <- lat
+	} else if st.done != nil {
+		st.done(lat)
+	}
 }
 
 // TaskHandle identifies one submission for cancellation and outcome
@@ -144,6 +174,12 @@ type taskState struct {
 type TaskHandle struct {
 	p  *Pool
 	st *taskState
+}
+
+// submission is a handle and its record in one allocation.
+type submission struct {
+	h  TaskHandle
+	st taskState
 }
 
 // State snapshots the task's lifecycle state.
@@ -192,31 +228,34 @@ func (h *TaskHandle) Err() error {
 // queued, preempted, or running), false if the task had already
 // finished, been shed, or been cancelled. Cancel never blocks on task
 // execution and is safe to call from any goroutine, once or many times.
-func (h *TaskHandle) Cancel() bool {
-	p, st := h.p, h.st
+func (h *TaskHandle) Cancel() bool { return h.p.cancel(h.st) }
+
+func (p *Pool) cancel(st *taskState) bool {
 	p.mu.Lock()
 	switch st.status {
 	case TaskQueued:
-		st.status = TaskCancelledQueued
-		st.cancelReq.Store(1)
-		p.cancelledQueued++
-		p.perClass[st.class].CancelledQueued++
-		p.tombstones++
-		done := st.done
+		p.evictQueuedLocked(st)
 		p.mu.Unlock()
-		if done != nil {
-			done(CancelledLatency)
-		}
+		st.settle(CancelledLatency)
 		return true
 	case TaskRunning, TaskPreempted:
-		if st.cancelReq.Swap(1) == 1 {
-			p.mu.Unlock()
-			return false // already requested by an earlier Cancel
-		}
+		// false: already requested by an earlier Cancel.
+		accepted := st.cancelReq.Swap(1) == 0
 		p.mu.Unlock()
-		return true
+		return accepted
 	default:
 		p.mu.Unlock()
 		return false
 	}
+}
+
+// evictQueuedLocked turns a queued, never-run task into a tombstone the
+// next pop skips (caller holds mu and settles the task with
+// CancelledLatency after unlocking).
+func (p *Pool) evictQueuedLocked(st *taskState) {
+	st.status = TaskCancelledQueued
+	st.cancelReq.Store(1)
+	p.cancelledQueued++
+	p.perClass[st.class].CancelledQueued++
+	p.tombstones++
 }

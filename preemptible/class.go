@@ -85,7 +85,7 @@ func (s ClassStats) Settled() uint64 {
 // without queuing: done observes RejectedLatency and the handle
 // reports TaskRejected. Returns ErrClosed after Close/Drain.
 func (p *Pool) SubmitClass(class Class, task Task, done func(latency time.Duration)) (*TaskHandle, error) {
-	return p.submitOpts(class, task, time.Time{}, time.Time{}, false, done)
+	return p.SubmitWithOptions(task, SubmitOptions{Class: class}, done)
 }
 
 // SubmitClassTimeout is SubmitTimeout with an explicit service class.
@@ -93,7 +93,7 @@ func (p *Pool) SubmitClassTimeout(class Class, task Task, timeout time.Duration,
 	if timeout <= 0 {
 		panic("preemptible: non-positive timeout")
 	}
-	return p.submitOpts(class, task, time.Now().Add(timeout), time.Time{}, false, done)
+	return p.SubmitWithOptions(task, SubmitOptions{Class: class, PickupTimeout: timeout}, done)
 }
 
 // SetClassAdmission opens or closes a class's admission gate. While
@@ -122,33 +122,29 @@ func (p *Pool) EvictClass(class Class) int {
 	if !class.valid() {
 		panic(fmt.Sprintf("preemptible: invalid class %d", class))
 	}
-	var dones []func(time.Duration)
+	var evicted []*taskState
 	p.mu.Lock()
-	evict := func(st *taskState, done func(time.Duration)) {
+	evict := func(st *taskState) {
+		if st.status != TaskQueued || st.class != class {
+			return
+		}
 		st.status = TaskShed
 		p.shed++
 		p.perClass[class].Shed++
 		p.tombstones++
-		if done != nil {
-			dones = append(dones, done)
-		}
+		evicted = append(evicted, st)
 	}
-	for i := p.arrHead; i < len(p.arrivals); i++ {
-		a := &p.arrivals[i]
-		if a.st != nil && a.st.status == TaskQueued && a.st.class == class {
-			evict(a.st, a.done)
-		}
+	for _, st := range p.arrivals[p.arrHead:] {
+		evict(st)
 	}
 	for _, it := range p.edf {
-		if it.task != nil && it.st != nil && it.st.status == TaskQueued && it.st.class == class {
-			evict(it.st, it.done)
-		}
+		evict(it.st)
 	}
 	p.mu.Unlock()
-	for _, d := range dones {
-		d(ShedLatency)
+	for _, st := range evicted {
+		st.settle(ShedLatency)
 	}
-	return len(dones)
+	return len(evicted)
 }
 
 // OldestWait reports how long the oldest queued, never-run task has
@@ -158,17 +154,15 @@ func (p *Pool) OldestWait(now time.Time) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var oldest time.Time
-	for i := p.arrHead; i < len(p.arrivals); i++ {
-		a := &p.arrivals[i]
-		if a.st != nil && a.st.status == TaskQueued {
-			oldest = a.arrival
+	for _, st := range p.arrivals[p.arrHead:] {
+		if st.status == TaskQueued {
+			oldest = st.arrival
 			break // FIFO arrivals are in arrival order
 		}
 	}
 	for _, it := range p.edf {
-		if it.task != nil && it.st != nil && it.st.status == TaskQueued &&
-			(oldest.IsZero() || it.arrival.Before(oldest)) {
-			oldest = it.arrival
+		if st := it.st; st.status == TaskQueued && (oldest.IsZero() || st.arrival.Before(oldest)) {
+			oldest = st.arrival
 		}
 	}
 	if oldest.IsZero() {

@@ -47,6 +47,15 @@
 //		}
 //	}
 //
+// A task's context — the goroutine it runs on, the channels that hand
+// control back and forth, the deadline word registered with the timer
+// service — is not created per Launch: like the paper's library, the
+// Runtime keeps a free list of idle contexts, a finished task's context
+// is parked and serves a later Launch, and in steady state a Launch
+// allocates only the Fn it returns. A Fn keeps reporting its own
+// task's outcome after its context has moved on; a Task must not keep
+// its *Ctx past its own return.
+//
 // Pool layers the paper's two-level scheduler on top: a dispatcher
 // queue feeding worker goroutines, a global preempted list, per-class
 // latency statistics, and optionally the Algorithm 1 adaptive quantum

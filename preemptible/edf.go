@@ -18,22 +18,13 @@ const (
 	EDF
 )
 
-// edfItem is one unit of EDF-ordered work: either a fresh task or a
-// preempted Fn. st links the item to its submission record so
+// edfItem is one entry of the EDF heap: a fresh task or a preempted one
+// (st.status says which). st links the item to its submission record so
 // TaskHandle.Cancel can tombstone it in place (lazy delete — the heap
 // is never spliced, so its invariants hold).
 type edfItem struct {
-	task     Task
-	fn       *Fn
-	st       *taskState
-	arrival  time.Time
-	deadline time.Time // zero = none
-	// expire marks deadline as a hard completion deadline
-	// (SubmitOptions.Expire): a worker popping the item after the
-	// deadline drops it as expired instead of running it.
-	expire bool
-	done   func(time.Duration)
-	seq    uint64
+	st  *taskState
+	seq uint64
 }
 
 // edfQueue is a deadline-ordered heap.
@@ -42,7 +33,7 @@ type edfQueue []*edfItem
 func (q edfQueue) Len() int { return len(q) }
 
 func (q edfQueue) Less(i, j int) bool {
-	di, dj := q[i].deadline, q[j].deadline
+	di, dj := q[i].st.deadline, q[j].st.deadline // zero = none
 	switch {
 	case di.IsZero() && dj.IsZero():
 		return q[i].seq < q[j].seq
@@ -85,15 +76,14 @@ func (p *Pool) SubmitDeadline(task Task, deadline time.Time, done func(latency t
 // soft: late work still runs. For hard expiry — drop at dequeue, unwind
 // at the next safepoint — use SubmitWithOptions with Expire set.
 func (p *Pool) SubmitClassDeadline(class Class, task Task, deadline time.Time, done func(latency time.Duration)) (*TaskHandle, error) {
-	return p.submitOpts(class, task, time.Time{}, deadline, false, done)
+	return p.SubmitWithOptions(task, SubmitOptions{Class: class, Deadline: deadline}, done)
 }
 
-// pushEDF enqueues an item under the EDF discipline (caller holds mu or
-// is in a context where locking is handled by the caller).
-func (p *Pool) pushEDFLocked(it *edfItem) {
+// pushEDFLocked enqueues a task under the EDF discipline (caller holds
+// mu).
+func (p *Pool) pushEDFLocked(st *taskState) {
 	p.seq++
-	it.seq = p.seq
-	heap.Push(&p.edf, it)
+	heap.Push(&p.edf, &edfItem{st: st, seq: p.seq})
 }
 
 // popEDFLocked removes the earliest-deadline live item, discarding
@@ -102,7 +92,7 @@ func (p *Pool) pushEDFLocked(it *edfItem) {
 func (p *Pool) popEDFLocked() *edfItem {
 	for len(p.edf) > 0 {
 		it := heap.Pop(&p.edf).(*edfItem)
-		if it.st != nil && (it.st.status == TaskCancelledQueued || it.st.status == TaskShed) {
+		if it.st.status == TaskCancelledQueued || it.st.status == TaskShed {
 			p.tombstones--
 			continue
 		}

@@ -13,25 +13,45 @@ import (
 // asynchronous UINTR delivery — see the package comment).
 type Task func(ctx *Ctx)
 
-// Ctx is the execution context handed to a Task. It carries the
-// deadline word the timer service polls (the paper's 64-byte-aligned
-// deadline address) and the preemption flag.
+// Ctx is the execution context handed to a Task: a goroutine parked on
+// parkCh, the channel pair that hands control between it and its
+// scheduler, and the deadline word the timer service polls (the paper's
+// 64-byte-aligned deadline address). Contexts are the paper's free
+// list: the runtime creates one — goroutine, channels, timer
+// registration — only when no idle one exists, parks it when its task
+// ends and hands it to a later Launch (see Runtime.acquire), so a Ctx
+// outlives the task it is passed to. A Task must not keep its *Ctx past
+// its own return.
 type Ctx struct {
-	rt       *Runtime
-	deadline atomic.Int64  // unixnano of next preemption; 0 = disarmed
-	preempt  atomic.Uint32 // raised by the timer goroutine
+	rt *Runtime
+	// deadline is the word the timer service polls: 0 = disarmed, a
+	// positive value = unixnano of the next preemption, preemptPending =
+	// the deadline passed and the task is to yield at its next
+	// safepoint. Deadline and flag share one word so that the timer can
+	// only flag the deadline it actually read (a compare-and-swap): a
+	// context reused between the timer's read and its write keeps its
+	// new task's deadline instead of inheriting the old task's flag.
+	deadline atomic.Int64
 
+	// The fields from here to checkpoints describe one task and are
+	// reset by Runtime.start before the context serves the next one.
+
+	// task is the body the context goroutine runs next; nil while
+	// parked, so a wake-up that finds none means exit (Runtime.discard).
+	// Written by the launcher before the parkCh send, read by the
+	// goroutine after the receive.
+	task Task
 	// cancelReq, when non-nil, points at the submission's shared cancel
 	// flag (raised by TaskHandle.Cancel). Checkpoint and Yield observe
-	// it and unwind the task; it is bound by the Pool before any user
-	// code runs, so only the task goroutine ever touches the pointer.
+	// it and unwind the task; the Pool binds it at launch, before any
+	// user code runs.
 	cancelReq *atomic.Uint32
 	// expiresAt, when non-zero, is the submission's hard completion
 	// deadline in unixnanos (SubmitOptions.Expire): Checkpoint and
 	// Yield compare it against the clock and unwind the task once it
 	// passes — doomed work stops at the next safepoint instead of
-	// finishing for a caller that already gave up. Bound by the Pool
-	// before any user code runs, read-only afterwards.
+	// finishing for a caller that already gave up. Bound like
+	// cancelReq, read-only while the task runs.
 	expiresAt int64
 	// unwound records that the task exited via cancel-unwind rather
 	// than a normal return (fn_completed(cancelled)).
@@ -39,25 +59,32 @@ type Ctx struct {
 	// expired records that the unwind was triggered by the hard
 	// completion deadline rather than a cancel request.
 	expired atomic.Bool
-
 	// failure records a panic runTaskBody captured: the task died but
 	// the Fn completes through the ordinary yield path in StateFailed.
 	// Written by the task goroutine before its final yieldCh send, read
 	// by the scheduler after the matching receive — the channel handoff
 	// orders the accesses.
-	failure *TaskError
+	failure     *TaskError
+	checkpoints atomic.Uint64
+
+	// live marks a context that holds a task (launched, not yet ended).
+	live atomic.Bool
 
 	// coop marks a degraded-mode context: the task runs inline with no
 	// scheduler to yield to, so Yield and Checkpoint-triggered yields
-	// are no-ops (see Pool's graceful degradation).
+	// are no-ops (see Pool's graceful degradation). Never set on a
+	// context with a goroutine: the cooperative runner builds its own.
 	coop bool
 
+	// parkCh wakes the idle goroutine for its next task (or to exit);
+	// runCh starts each time slice and yieldCh ends it.
+	parkCh  chan struct{}
 	runCh   chan struct{}
 	yieldCh chan bool // true = task finished
-
-	checkpoints atomic.Uint64
-	yields      atomic.Uint64
 }
+
+// preemptPending is the deadline word's "flag raised" value.
+const preemptPending = -1
 
 // cancelPanic is the sentinel thrown by a safepoint to unwind a
 // cancelled task; the launch wrapper recovers it and completes the Fn
@@ -98,16 +125,21 @@ func (c *Ctx) Checkpoint() {
 		c.unwind()
 	}
 	c.checkExpiry()
-	if c.preempt.Load() == 1 {
-		c.yieldNow()
+	d := c.deadline.Load()
+	if d == 0 {
 		return
 	}
-	if d := c.deadline.Load(); d != 0 && time.Now().UnixNano() >= d {
-		if c.preempt.CompareAndSwap(0, 1) && c.rt != nil {
+	if d != preemptPending {
+		if time.Now().UnixNano() < d {
+			return
+		}
+		// Raise the flag ourselves; losing the swap means the timer
+		// raised (and counted) it between the load and here.
+		if c.deadline.CompareAndSwap(d, preemptPending) && c.rt != nil {
 			c.rt.preemptions.Add(1)
 		}
-		c.yieldNow()
 	}
+	c.yieldNow()
 }
 
 // Yield voluntarily returns control to the scheduler regardless of the
@@ -122,7 +154,7 @@ func (c *Ctx) Yield() {
 }
 
 // Preempted reports whether a preemption is pending (without yielding).
-func (c *Ctx) Preempted() bool { return c.preempt.Load() == 1 }
+func (c *Ctx) Preempted() bool { return c.deadline.Load() == preemptPending }
 
 // Cancelled reports whether a cancel is pending (without unwinding).
 // Tasks with expensive sections between safepoints can poll it and
@@ -142,7 +174,6 @@ func (c *Ctx) Cancelled() bool {
 func (c *Ctx) unwind() {
 	c.unwound.Store(true)
 	c.deadline.Store(0)
-	c.preempt.Store(0)
 	panic(cancelPanic{})
 }
 
@@ -169,7 +200,7 @@ func (c *Ctx) DeadlineExpired() bool { return c.expired.Load() }
 // Deadline reports the armed preemption deadline (zero Time if none).
 func (c *Ctx) Deadline() time.Time {
 	d := c.deadline.Load()
-	if d == 0 {
+	if d <= 0 {
 		return time.Time{}
 	}
 	return time.Unix(0, d)
@@ -179,9 +210,7 @@ func (c *Ctx) Deadline() time.Time {
 func (c *Ctx) Checkpoints() uint64 { return c.checkpoints.Load() }
 
 func (c *Ctx) yieldNow() {
-	c.yields.Add(1)
 	c.deadline.Store(0)
-	c.preempt.Store(0)
 	if c.coop {
 		// Degraded mode: no scheduler is blocked on yieldCh; keep
 		// running cooperatively.
@@ -230,49 +259,101 @@ func (s FnState) String() string {
 }
 
 // Fn is a preemptible function: a Task bound to a context and a
-// deadline (the paper's Fn = {Context, Deadline}).
+// deadline (the paper's Fn = {Context, Deadline}). The binding lasts
+// while the task is live; when it ends the Fn copies the outcome out of
+// the context — which goes back to the runtime's free list and will
+// serve other tasks — so State, Err, Cancelled, Expired, Preemptions
+// and Ctx keep describing this Fn's own task afterwards.
 type Fn struct {
-	rt    *Runtime
 	ctx   *Ctx
 	state atomic.Int32
 
 	// Preemptions counts times this Fn was preempted.
 	Preemptions int
+
+	// The task's outcome, written by run before the terminal state is
+	// stored (which is what publishes it to other goroutines).
+	failure          *TaskError
+	unwound, expired bool
+	checkpoints      uint64
 }
 
 // Launch creates a preemptible function and runs it immediately
 // (fn_launch): control returns to the caller when the task completes or
 // its time slice (quantum; DefaultQuantum if 0) expires at a
-// checkpoint. The returned Fn is resumable if not completed.
+// checkpoint. The returned Fn is resumable if not completed. In steady
+// state the Fn is the only allocation: the context comes off the free
+// list.
 func (r *Runtime) Launch(task Task, quantum time.Duration) (*Fn, error) {
 	if task == nil {
 		panic("preemptible: nil task")
 	}
-	fn := &Fn{
-		rt: r,
-		ctx: &Ctx{
-			rt:      r,
-			runCh:   make(chan struct{}),
-			yieldCh: make(chan bool),
-		},
-	}
-	// Registration and the closed check are one critical section: a
-	// Launch racing Close either loses cleanly (ErrClosed, nothing
-	// registered) or wins and is fully registered before Close's timer
-	// shutdown completes.
-	if err := r.register(fn.ctx); err != nil {
+	c, err := r.acquire(nil)
+	if err != nil {
 		return nil, err
 	}
-	r.launched.Add(1)
-	go func() {
-		<-fn.ctx.runCh
-		runTaskBody(task, fn.ctx)
-		fn.ctx.deadline.Store(0)
-		fn.ctx.preempt.Store(0)
-		fn.ctx.yieldCh <- true
-	}()
-	fn.resume(quantum)
+	fn := &Fn{}
+	if freed := r.start(fn, c, task, nil, 0, quantum); freed != nil {
+		r.release(freed)
+	}
 	return fn, nil
+}
+
+// start binds task to context c as fn and runs its first time slice.
+// cancelReq and expiresAt are the Pool's per-submission cancel flag and
+// hard deadline (nil and 0 for a bare Launch). c served another task
+// before: every per-task field is reset here, one by one, before any
+// user code can read it. The deadline word needs no reset — the context
+// goroutine disarms it before its final yield, and run arms it next.
+// Like run, start returns the context once the task has ended.
+//
+// The hand-off is two steps — wake the parked goroutine on parkCh, then
+// rendezvous with it on runCh in run — and not one send to a goroutine
+// already waiting on runCh, because of who is runnable while the task
+// runs. With the rendezvous the scheduler blocks in its send and it is
+// the context goroutine's receive that readies it again, so for the
+// length of the slice the scheduler's goroutine sits runnable on its P,
+// as it did when every Launch started a new goroutine. That stealable
+// goroutine keeps a second processor's thread spinning instead of
+// asleep in a futex, and on a host where waking it is slow (the 2-vCPU
+// benchmark VM) work that needs the second processor at once pays for
+// every sleep: over ten pairs against the goroutine-per-Launch parent,
+// mget_fanout lost 10 % of ops_s and lc_tail_ratio went 2.23 → 2.93
+// with the one-step hand-off, and gained 2 % at 2.28 → 2.07 with this
+// one; kv_read gains ≈ 10 % either way. The price is one more switch
+// per task, for the context goroutine to get back to parkCh (DESIGN.md,
+// "Context free list").
+func (r *Runtime) start(fn *Fn, c *Ctx, task Task, cancelReq *atomic.Uint32, expiresAt int64, quantum time.Duration) (freed *Ctx) {
+	c.task = task
+	c.cancelReq = cancelReq
+	c.expiresAt = expiresAt
+	c.unwound.Store(false)
+	c.expired.Store(false)
+	c.failure = nil
+	c.checkpoints.Store(0)
+	c.live.Store(true)
+	fn.ctx = c
+	r.launched.Add(1)
+	c.parkCh <- struct{}{}
+	return fn.run(quantum)
+}
+
+// loop is the context goroutine: run the task handed over with each
+// wake-up, report its end, park again. A wake-up with no task is
+// Runtime.discard telling the goroutine to exit.
+func (c *Ctx) loop() {
+	for {
+		<-c.parkCh
+		task := c.task
+		if task == nil {
+			return
+		}
+		c.task = nil // a parked context keeps no task's closure alive
+		<-c.runCh
+		runTaskBody(task, c)
+		c.deadline.Store(0)
+		c.yieldCh <- true
+	}
 }
 
 // runTaskBody executes the task, containing every panic. The
@@ -310,8 +391,8 @@ func (r *Runtime) LaunchWithDeadline(task Task, quantum time.Duration, deadline 
 // Resume continues a preempted function (fn_resume) until the next
 // quantum expiry or completion. Resuming a completed, failed, or
 // running Fn panics: all three indicate a scheduler bug — a failed Fn
-// in particular is terminal, its task goroutine is gone, and there is
-// nothing left to continue.
+// in particular is terminal, its context serves other tasks by now, and
+// there is nothing left to continue.
 func (fn *Fn) Resume(quantum time.Duration) {
 	switch FnState(fn.state.Load()) {
 	case StateCompleted:
@@ -321,29 +402,40 @@ func (fn *Fn) Resume(quantum time.Duration) {
 	case StateRunning:
 		panic("preemptible: concurrent Resume")
 	}
-	fn.resume(quantum)
+	if freed := fn.run(quantum); freed != nil {
+		freed.rt.release(freed)
+	}
 }
 
-func (fn *Fn) resume(quantum time.Duration) {
+// run gives the task one time slice. When the task ends in it, run
+// copies the outcome into fn and returns the context, which is idle
+// from then on: the caller keeps it for its next launch (a Pool worker)
+// or releases it to the free list.
+func (fn *Fn) run(quantum time.Duration) (freed *Ctx) {
 	if quantum <= 0 {
 		quantum = DefaultQuantum
 	}
+	c := fn.ctx
 	fn.state.Store(int32(StateRunning))
 	// Arm the deadline word (utimer_arm_deadline: one memory write).
-	fn.ctx.deadline.Store(fn.rt.clock.Now().Add(quantum).UnixNano())
-	fn.ctx.runCh <- struct{}{}
-	done := <-fn.ctx.yieldCh
-	if done {
-		if fn.ctx.failure != nil {
-			fn.state.Store(int32(StateFailed))
-		} else {
-			fn.state.Store(int32(StateCompleted))
-		}
-		fn.rt.unregister(fn.ctx)
-		return
+	c.deadline.Store(c.rt.clock.Now().Add(quantum).UnixNano())
+	c.runCh <- struct{}{}
+	if done := <-c.yieldCh; !done {
+		fn.Preemptions++
+		fn.state.Store(int32(StatePreempted))
+		return nil
 	}
-	fn.Preemptions++
-	fn.state.Store(int32(StatePreempted))
+	fn.failure = c.failure
+	fn.unwound = c.unwound.Load()
+	fn.expired = c.expired.Load()
+	fn.checkpoints = c.checkpoints.Load()
+	if fn.failure != nil {
+		fn.state.Store(int32(StateFailed))
+	} else {
+		fn.state.Store(int32(StateCompleted))
+	}
+	c.live.Store(false)
+	return c
 }
 
 // Completed reports whether the task finished (fn_completed), so that
@@ -359,26 +451,46 @@ func (fn *Fn) Failed() bool {
 	return FnState(fn.state.Load()) == StateFailed
 }
 
+// ended reports whether the Fn is terminal, i.e. its outcome fields are
+// published and its context is no longer its own.
+func (fn *Fn) ended() bool {
+	s := FnState(fn.state.Load())
+	return s == StateCompleted || s == StateFailed
+}
+
 // Err reports a failed Fn's captured panic (nil unless Failed).
 func (fn *Fn) Err() *TaskError {
 	if fn.Failed() {
-		return fn.ctx.failure
+		return fn.failure
 	}
 	return nil
 }
 
 // Cancelled reports fn_completed(cancelled): the task completed by
 // unwinding at a safepoint after a cancel rather than returning
-// normally. Only meaningful once Completed is true.
-func (fn *Fn) Cancelled() bool { return fn.ctx.unwound.Load() }
+// normally. False until Completed is true.
+func (fn *Fn) Cancelled() bool { return fn.ended() && fn.unwound }
 
 // Expired reports that the unwind was triggered by the task's hard
 // completion deadline rather than a cancel request. Only meaningful
 // once Cancelled is true.
-func (fn *Fn) Expired() bool { return fn.ctx.expired.Load() }
+func (fn *Fn) Expired() bool { return fn.ended() && fn.expired }
 
 // State reports the Fn's lifecycle state.
 func (fn *Fn) State() FnState { return FnState(fn.state.Load()) }
 
 // Ctx exposes the Fn's context (for inspection in tests/policies).
-func (fn *Fn) Ctx() *Ctx { return fn.ctx }
+// While the task is live this is the context it runs on; once it has
+// ended, that context belongs to the free list, so Ctx returns a
+// detached record of this task's outcome and counters instead (inert:
+// its safepoints are no-ops).
+func (fn *Fn) Ctx() *Ctx {
+	if !fn.ended() {
+		return fn.ctx
+	}
+	c := &Ctx{coop: true, failure: fn.failure}
+	c.unwound.Store(fn.unwound)
+	c.expired.Store(fn.expired)
+	c.checkpoints.Store(fn.checkpoints)
+	return c
+}

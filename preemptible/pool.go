@@ -3,7 +3,6 @@ package preemptible
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -90,27 +89,6 @@ func (s PoolStats) Cancelled() uint64 { return s.CancelledQueued + s.CancelledEx
 // Expired is the total of both deadline-expiry buckets.
 func (s PoolStats) Expired() uint64 { return s.ExpiredQueued + s.ExpiredExecuting }
 
-type poolArrival struct {
-	task    Task
-	st      *taskState
-	arrival time.Time
-	// deadline, when non-zero, is the pickup deadline: a worker
-	// reaching the task after it sheds instead of running it.
-	deadline time.Time
-	// expires, when non-zero, is the hard completion deadline: a worker
-	// reaching the task after it drops it as expired (ExpiredLatency)
-	// instead of running doomed work.
-	expires time.Time
-	done    func(latency time.Duration)
-}
-
-type poolPreempted struct {
-	fn      *Fn
-	st      *taskState
-	arrival time.Time
-	done    func(latency time.Duration)
-}
-
 // Pool is the paper's two-level scheduler on the live runtime: a
 // dispatcher queue of fresh arrivals (served first, giving preemptive
 // priority to new — typically short — requests, the c-FCFS policy), a
@@ -122,9 +100,9 @@ type Pool struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	discipline Discipline
-	arrivals   []poolArrival
+	arrivals   []*taskState
 	arrHead    int
-	preempted  []poolPreempted
+	preempted  []*taskState
 	preHead    int
 	edf        edfQueue
 	seq        uint64
@@ -155,8 +133,12 @@ type Pool struct {
 	// not yet skipped by a pop (lazy delete keeps the EDF heap intact).
 	tombstones   int
 	degradedRuns uint64
-	winLats      []float64
-	winArr       uint64
+	// winLats and winArr are the Algorithm 1 controller's observation
+	// window: latencies are recorded only while a controller runs to
+	// drain them (adaptive), so a controller-less pool keeps none.
+	adaptive bool
+	winLats  []float64
+	winArr   uint64
 
 	onFailure func(class Class, err *TaskError)
 
@@ -189,6 +171,7 @@ func NewPool(rt *Runtime, cfg PoolConfig) *Pool {
 		hist:       stats.NewHistogram(),
 		running:    make(map[*taskState]struct{}),
 		onFailure:  cfg.OnFailure,
+		adaptive:   cfg.Adaptive != nil,
 		ctlStop:    make(chan struct{}),
 		drainDone:  make(chan struct{}),
 	}
@@ -213,7 +196,7 @@ func NewPool(rt *Runtime, cfg PoolConfig) *Pool {
 // outcome, not a crash; done is never called. A nil task or invalid
 // class still panics: those are caller bugs, not races.
 func (p *Pool) Submit(task Task, done func(latency time.Duration)) (*TaskHandle, error) {
-	return p.submit(task, time.Time{}, done)
+	return p.SubmitWithOptions(task, SubmitOptions{}, done)
 }
 
 // SubmitTimeout enqueues a task with a pickup deadline of now+timeout:
@@ -227,11 +210,7 @@ func (p *Pool) SubmitTimeout(task Task, timeout time.Duration, done func(latency
 	if timeout <= 0 {
 		panic("preemptible: non-positive timeout")
 	}
-	return p.submit(task, time.Now().Add(timeout), done)
-}
-
-func (p *Pool) submit(task Task, deadline time.Time, done func(latency time.Duration)) (*TaskHandle, error) {
-	return p.submitOpts(ClassLC, task, deadline, time.Time{}, false, done)
+	return p.SubmitWithOptions(task, SubmitOptions{PickupTimeout: timeout}, done)
 }
 
 // SubmitOptions bundles one submission's scheduling metadata — the
@@ -260,87 +239,69 @@ type SubmitOptions struct {
 }
 
 // SubmitWithOptions enqueues a task with explicit scheduling metadata.
-// Returns ErrClosed after Close/Drain, like Submit.
+// Returns ErrClosed after Close/Drain, like Submit. The handle and the
+// task's record are one allocation, and it is never recycled: the
+// caller may keep the handle for as long as it likes.
 func (p *Pool) SubmitWithOptions(task Task, opts SubmitOptions, done func(latency time.Duration)) (*TaskHandle, error) {
+	sub := &submission{}
+	sub.h = TaskHandle{p: p, st: &sub.st}
+	sub.st.done = done
+	if err := p.enqueue(&sub.st, task, &opts); err != nil {
+		return nil, err
+	}
+	return &sub.h, nil
+}
+
+// enqueue fills in a zeroed record (but for its done or wake) from the
+// submission's options and admits it: the single admission path, one
+// acquisition of Pool.mu.
+func (p *Pool) enqueue(st *taskState, task Task, opts *SubmitOptions) error {
+	if task == nil {
+		panic("preemptible: Submit(nil)")
+	}
+	if !opts.Class.valid() {
+		panic(fmt.Sprintf("preemptible: invalid class %d", opts.Class))
+	}
 	if opts.Expire && opts.Deadline.IsZero() {
 		panic("preemptible: SubmitOptions.Expire without a Deadline")
 	}
 	if opts.PickupTimeout < 0 {
 		panic("preemptible: negative PickupTimeout")
 	}
-	var pickup time.Time
-	if opts.PickupTimeout > 0 {
-		pickup = time.Now().Add(opts.PickupTimeout)
+	st.class, st.task, st.deadline = opts.Class, task, opts.Deadline
+	if opts.Expire {
+		st.expires = opts.Deadline.UnixNano()
 	}
-	return p.submitOpts(opts.Class, task, pickup, opts.Deadline, opts.Expire, done)
-}
-
-// submitOpts is the single admission path: every Submit* entry point
-// lands here. pickup is the pickup deadline (zero = none); deadline is
-// the SLO deadline (zero = none), hard iff expire.
-func (p *Pool) submitOpts(class Class, task Task, pickup, deadline time.Time, expire bool, done func(latency time.Duration)) (*TaskHandle, error) {
-	if task == nil {
-		panic("preemptible: Submit(nil)")
+	if opts.PickupTimeout > 0 && p.discipline != EDF { // EDF orders by its own deadlines
+		st.pickup = time.Now().Add(opts.PickupTimeout)
 	}
-	if !class.valid() {
-		panic(fmt.Sprintf("preemptible: invalid class %d", class))
-	}
-	st := &taskState{done: done, class: class}
-	if expire {
-		st.expires = deadline.UnixNano()
-	}
-	wrapped := p.bindCancel(task, st)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	p.submitted++
-	p.perClass[class].Submitted++
-	if p.gateClosed[class] {
+	p.perClass[st.class].Submitted++
+	if p.gateClosed[st.class] {
 		// Closed admission gate: the task is refused at the door — a
 		// terminal outcome, never queued, so it is not arrival load.
 		st.status = TaskRejected
 		p.rejected++
-		p.perClass[class].Rejected++
+		p.perClass[st.class].Rejected++
 		p.mu.Unlock()
-		if done != nil {
-			done(RejectedLatency)
-		}
-		return &TaskHandle{p: p, st: st}, nil
+		st.settle(RejectedLatency)
+		return nil
 	}
 	p.winArr++
+	st.arrival = time.Now()
 	if p.discipline == EDF {
-		p.pushEDFLocked(&edfItem{task: wrapped, st: st, arrival: time.Now(), deadline: deadline, expire: expire, done: done})
+		p.pushEDFLocked(st)
 	} else {
-		p.arrivals = append(p.arrivals, poolArrival{task: wrapped, st: st, arrival: time.Now(), deadline: pickup, expires: expiresTime(st), done: done})
+		p.arrivals = append(p.arrivals, st)
 	}
 	p.mu.Unlock()
 	p.cond.Signal()
-	return &TaskHandle{p: p, st: st}, nil
-}
-
-// expiresTime renders a taskState's hard deadline back as a time.Time
-// (zero when none) for queue entries.
-func expiresTime(st *taskState) time.Time {
-	if st.expires == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, st.expires)
-}
-
-// bindCancel wraps a task so its Ctx polls the submission's shared
-// cancel flag — and hard completion deadline, when armed — at
-// safepoints. Binding happens on the task goroutine before any user
-// code, so a cancel (or an already-passed deadline) landing between
-// queue pickup and first execution is observed at the very first
-// Checkpoint.
-func (p *Pool) bindCancel(task Task, st *taskState) Task {
-	return func(ctx *Ctx) {
-		ctx.cancelReq = &st.cancelReq
-		ctx.expiresAt = st.expires
-		task(ctx)
-	}
+	return nil
 }
 
 // SubmitWait runs the task and blocks until it settles, returning its
@@ -348,11 +309,58 @@ func (p *Pool) bindCancel(task Task, st *taskState) Task {
 // it did not complete). Returns ErrClosed without running the task if
 // the pool is closed.
 func (p *Pool) SubmitWait(task Task) (time.Duration, error) {
-	ch := make(chan time.Duration, 1)
-	if _, err := p.Submit(task, func(l time.Duration) { ch <- l }); err != nil {
-		return 0, err
+	lat, _, err := p.SubmitWaitWithOptions(task, SubmitOptions{}, nil)
+	return lat, err
+}
+
+// waitRecords recycles the records of SubmitWaitWithOptions calls, each
+// with its wake channel.
+var waitRecords = sync.Pool{New: func() any {
+	return &taskState{wake: make(chan time.Duration, 1)}
+}}
+
+// recycle clears a SubmitWaitWithOptions record, but for its wake
+// channel, and gives it back for reuse.
+func (st *taskState) recycle() {
+	wake := st.wake
+	*st = taskState{}
+	st.wake = wake
+	waitRecords.Put(st)
+}
+
+// SubmitWaitWithOptions is the synchronous submit: enqueue the task,
+// wait for it to settle, and return its latency (or negative sentinel)
+// and terminal state. cancel, when non-nil and closed while the task is
+// still queued or running, cancels it exactly as TaskHandle.Cancel would
+// (the wait then ends with CancelledLatency, or with the real outcome if
+// the task got there first). Nobody else ever holds the task's record,
+// so a completed call gives it back for reuse — after the outcome has
+// arrived and been read — and the call allocates nothing in steady
+// state. Returns ErrClosed without running the task if the pool is
+// closed.
+func (p *Pool) SubmitWaitWithOptions(task Task, opts SubmitOptions, cancel <-chan struct{}) (time.Duration, TaskState, error) {
+	st := waitRecords.Get().(*taskState)
+	if err := p.enqueue(st, task, &opts); err != nil {
+		st.recycle()
+		return 0, TaskQueued, err
 	}
-	return <-ch, nil
+	var lat time.Duration
+	select {
+	case lat = <-st.wake:
+	case <-cancel:
+		p.cancel(st)
+		lat = <-st.wake
+	}
+	// The wake-up orders this read after the settling worker's write.
+	state := st.status
+	if state == TaskCompleted {
+		// Only a completed record is provably unreferenced: a worker
+		// popped it, took it out of running, and sent on wake last. (A
+		// record cancelled or evicted in the queue stays there as a
+		// tombstone until a pop skips it.)
+		st.recycle()
+	}
+	return lat, state, nil
 }
 
 // SetQuantum updates the time slice used for subsequent launches and
@@ -469,48 +477,57 @@ func (p *Pool) drain(ctx context.Context) error {
 // TaskHandle.Cancel, preempted and running tasks get their cancel
 // flags raised so they unwind at the next safepoint.
 func (p *Pool) cancelStragglers() {
-	var dones []func(time.Duration)
+	var evicted []*taskState
 	p.mu.Lock()
-	evict := func(st *taskState, done func(time.Duration)) {
-		st.status = TaskCancelledQueued
-		st.cancelReq.Store(1)
-		p.cancelledQueued++
-		p.perClass[st.class].CancelledQueued++
-		p.tombstones++
-		if done != nil {
-			dones = append(dones, done)
+	// Queued work is tombstoned exactly as by Cancel; preempted work
+	// gets its flag raised and unwinds on its next resume.
+	sweep := func(st *taskState) {
+		switch st.status {
+		case TaskQueued:
+			p.evictQueuedLocked(st)
+			evicted = append(evicted, st)
+		case TaskPreempted:
+			st.cancelReq.Store(1)
 		}
 	}
-	for i := p.arrHead; i < len(p.arrivals); i++ {
-		a := &p.arrivals[i]
-		if a.st != nil && a.st.status == TaskQueued {
-			evict(a.st, a.done)
-		}
+	for _, st := range p.arrivals[p.arrHead:] {
+		sweep(st)
 	}
 	for _, it := range p.edf {
-		if it.st == nil {
-			continue
-		}
-		switch it.st.status {
-		case TaskQueued:
-			evict(it.st, it.done)
-		case TaskPreempted:
-			it.st.cancelReq.Store(1)
-		}
+		sweep(it.st)
 	}
-	for i := p.preHead; i < len(p.preempted); i++ {
-		if pr := &p.preempted[i]; pr.st != nil && pr.st.status == TaskPreempted {
-			pr.st.cancelReq.Store(1)
-		}
+	for _, st := range p.preempted[p.preHead:] {
+		sweep(st)
 	}
 	for st := range p.running {
 		st.cancelReq.Store(1)
 	}
 	p.mu.Unlock()
 	p.cond.Broadcast()
-	for _, d := range dones {
-		d(CancelledLatency)
+	for _, st := range evicted {
+		st.settle(CancelledLatency)
 	}
+}
+
+// popQueue pops the head of one of the two FIFO queues (nil when it is
+// empty). The slot is cleared so the queue keeps no record alive, an
+// emptied queue rewinds onto its own backing array — the steady state
+// of a pool that keeps up appends without allocating — and a queue that
+// never empties is compacted once its dead prefix outgrows its tail.
+func popQueue(q *[]*taskState, head *int) *taskState {
+	if *head == len(*q) {
+		return nil
+	}
+	st := (*q)[*head]
+	(*q)[*head] = nil
+	*head++
+	switch {
+	case *head == len(*q):
+		*q, *head = (*q)[:0], 0
+	case *head > 256 && *head*2 >= len(*q):
+		*q, *head = append([]*taskState(nil), (*q)[*head:]...), 0
+	}
+	return st
 }
 
 // next pops work: under FIFO, fresh arrivals first, then the preempted
@@ -518,175 +535,103 @@ func (p *Pool) cancelStragglers() {
 // tombstones are skipped here (their done already fired at Cancel
 // time). The popped task's state moves to Running inside the lock, so
 // a Cancel arriving after the pop takes the cooperative (flag) path
-// instead of double-reporting an eviction. Returns with ok=false when
-// the pool is closed and drained.
-func (p *Pool) next() (arr *poolArrival, pre *poolPreempted, ed *edfItem, ok bool) {
+// instead of double-reporting an eviction. resume reports that the task
+// was preempted before and is to be resumed, not launched; q is the
+// time slice to give it, read in the same critical section. Returns
+// with ok=false when the pool is closed and drained.
+func (p *Pool) next() (st *taskState, resume bool, q time.Duration, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.discipline == EDF {
-		for {
-			if it := p.popEDFLocked(); it != nil {
-				if it.st != nil {
-					it.st.status = TaskRunning
-					p.running[it.st] = struct{}{}
-				}
-				return nil, nil, it, true
-			}
-			if p.closed {
-				return nil, nil, nil, false
-			}
-			p.cond.Wait()
-		}
-	}
 	for {
-		if p.arrHead < len(p.arrivals) {
-			a := p.arrivals[p.arrHead]
-			p.arrivals[p.arrHead] = poolArrival{}
-			p.arrHead++
-			if p.arrHead > 256 && p.arrHead*2 >= len(p.arrivals) {
-				p.arrivals = append([]poolArrival(nil), p.arrivals[p.arrHead:]...)
-				p.arrHead = 0
+		if p.discipline == EDF {
+			if it := p.popEDFLocked(); it != nil {
+				st = it.st
 			}
-			if a.st.status == TaskCancelledQueued || a.st.status == TaskShed {
+		} else if st = popQueue(&p.arrivals, &p.arrHead); st != nil {
+			if st.status == TaskCancelledQueued || st.status == TaskShed {
 				// Tombstone: cancel-evicted or class-evicted; its done
 				// already fired.
 				p.tombstones--
 				continue
 			}
-			a.st.status = TaskRunning
-			p.running[a.st] = struct{}{}
-			return &a, nil, nil, true
+		} else {
+			st = popQueue(&p.preempted, &p.preHead)
 		}
-		if p.preHead < len(p.preempted) {
-			pr := p.preempted[p.preHead]
-			p.preempted[p.preHead] = poolPreempted{}
-			p.preHead++
-			if p.preHead > 256 && p.preHead*2 >= len(p.preempted) {
-				p.preempted = append([]poolPreempted(nil), p.preempted[p.preHead:]...)
-				p.preHead = 0
-			}
-			pr.st.status = TaskRunning
-			p.running[pr.st] = struct{}{}
-			return nil, &pr, nil, true
+		if st != nil {
+			resume = st.status == TaskPreempted
+			st.status = TaskRunning
+			p.running[st] = struct{}{}
+			return st, resume, p.quantum, true
 		}
 		if p.closed {
-			return nil, nil, nil, false
+			return nil, false, 0, false
 		}
 		p.cond.Wait()
 	}
 }
 
+// worker runs tasks until the pool is closed and drained. It keeps the
+// context of the last task that ended on it as the spare for its next
+// launch — the common case touches neither the runtime's free list nor
+// any runtime lock. The spare is gone when a launched task is preempted
+// (the task carries the context away into the preempted list) and
+// surplus when a resumed task ends while a spare is already held.
 func (p *Pool) worker() {
 	defer p.workersWG.Done()
+	var spare *Ctx
+	defer func() {
+		if spare != nil {
+			p.rt.release(spare)
+		}
+	}()
 	for {
-		arr, pre, ed, ok := p.next()
+		st, resume, q, ok := p.next()
 		if !ok {
 			return
 		}
-		q := p.Quantum()
-		switch {
-		case arr != nil:
-			if !arr.expires.IsZero() && !time.Now().Before(arr.expires) {
-				// Hard completion deadline already passed: the caller has
-				// given up, so executing the task would burn worker time
-				// on doomed work. Checked before the pickup deadline so a
-				// request carrying both settles as expired, matching what
-				// its client observed.
-				p.expireQueued(arr.st, arr.done)
-				continue
-			}
-			if !arr.deadline.IsZero() && time.Now().After(arr.deadline) {
-				p.shedTask(arr.st, arr.done)
-				continue
-			}
-			fn, err := p.rt.Launch(arr.task, q)
-			if err != nil {
-				// Runtime closed under us: run the task cooperatively
-				// rather than losing it.
-				p.runCooperative(arr.task, arr.st, arr.arrival, arr.done)
-				continue
-			}
-			p.afterRun(fn, arr.st, arr.arrival, time.Time{}, arr.done)
-		case pre != nil:
-			// Let producer goroutines run before resuming preempted
-			// work: the worker↔task channel handoff otherwise starves
-			// submitters on saturated single-core schedulers, defeating
-			// the arrivals-first discipline.
-			runtime.Gosched()
-			pre.fn.Resume(q)
-			p.afterRun(pre.fn, pre.st, pre.arrival, time.Time{}, pre.done)
-		case ed != nil:
-			if ed.task != nil {
-				if ed.expire && !time.Now().Before(ed.deadline) {
-					// Fresh EDF work past its hard deadline: drop at
-					// dequeue. Preempted items are not dropped here — they
-					// already ran, so they unwind at the wake-up safepoint
-					// and settle as ExpiredExecuting.
-					p.expireQueued(ed.st, ed.done)
-					continue
+		if resume {
+			// No runtime.Gosched before a resume: arrivals come first
+			// because next() looks at the arrival queue before the
+			// preempted list, and the yield that used to sit here bought
+			// nothing measurable on one processor (GOMAXPROCS=1 colocate:
+			// 169 ops/s with it, 156 without — both are Go's 10 ms slice)
+			// while costing colocate a third of its throughput on two
+			// (DESIGN.md, "No yield before resume").
+			if freed := st.fn.run(q); freed != nil {
+				if spare == nil {
+					spare = freed
+				} else {
+					p.rt.release(freed)
 				}
-				fn, err := p.rt.Launch(ed.task, q)
-				if err != nil {
-					p.runCooperative(ed.task, ed.st, ed.arrival, ed.done)
-					continue
-				}
-				p.afterRun(fn, ed.st, ed.arrival, ed.deadline, ed.done)
-			} else {
-				runtime.Gosched()
-				ed.fn.Resume(q)
-				p.afterRun(ed.fn, ed.st, ed.arrival, ed.deadline, ed.done)
 			}
+			p.afterRun(st)
+			continue
 		}
-	}
-}
-
-// shedTask drops a task whose pickup deadline passed before any worker
-// reached it; done observes ShedLatency.
-func (p *Pool) shedTask(st *taskState, done func(time.Duration)) {
-	p.mu.Lock()
-	p.shed++
-	if st != nil {
-		st.status = TaskShed
-		p.perClass[st.class].Shed++
-		delete(p.running, st)
-	}
-	p.mu.Unlock()
-	if done != nil {
-		done(ShedLatency)
-	}
-}
-
-// expireQueued drops a task whose hard completion deadline passed
-// before any worker reached it; done observes ExpiredLatency and no
-// worker time is spent on the doomed work.
-func (p *Pool) expireQueued(st *taskState, done func(time.Duration)) {
-	p.mu.Lock()
-	p.expiredQueued++
-	if st != nil {
-		st.status = TaskExpiredQueued
-		p.perClass[st.class].ExpiredQueued++
-		delete(p.running, st)
-	}
-	p.mu.Unlock()
-	if done != nil {
-		done(ExpiredLatency)
-	}
-}
-
-// finishExpired settles a task whose hard completion deadline passed
-// after it started executing: it unwound at a safepoint through the
-// cancel-unwind path, distinguished by the context's expired mark.
-func (p *Pool) finishExpired(st *taskState, done func(time.Duration)) {
-	p.mu.Lock()
-	p.expiredExec++
-	if st != nil {
-		st.status = TaskExpiredExecuting
-		p.perClass[st.class].ExpiredExecuting++
-		delete(p.running, st)
-	}
-	p.mu.Unlock()
-	if done != nil {
-		done(ExpiredLatency)
+		if st.expires != 0 && time.Now().UnixNano() >= st.expires {
+			// Hard completion deadline already passed: the caller has
+			// given up, so executing the task would burn worker time on
+			// doomed work. Checked before the pickup deadline so a request
+			// carrying both settles as expired, matching what its client
+			// observed. (A preempted task is not dropped at dequeue — it
+			// already ran, so it unwinds at the wake-up safepoint and
+			// settles as ExpiredExecuting.)
+			p.finish(st, TaskExpiredQueued, ExpiredLatency)
+			continue
+		}
+		if !st.pickup.IsZero() && time.Now().After(st.pickup) {
+			p.finish(st, TaskShed, ShedLatency)
+			continue
+		}
+		c, err := p.rt.acquire(spare)
+		if err != nil {
+			// Runtime closed under us (the spare went with it): run the
+			// task cooperatively rather than losing it.
+			spare = nil
+			p.runCooperative(st)
+			continue
+		}
+		spare = p.rt.start(&st.fn, c, st.task, &st.cancelReq, st.expires, q)
+		p.afterRun(st)
 	}
 }
 
@@ -696,121 +641,104 @@ func (p *Pool) finishExpired(st *taskState, done func(time.Duration)) {
 // preemption — and still completes and reports its latency. No task
 // accepted by Submit is ever lost; a pending cancel still unwinds at
 // the first safepoint even in degraded mode.
-func (p *Pool) runCooperative(task Task, st *taskState, arrival time.Time, done func(time.Duration)) {
-	ctx := &Ctx{coop: true}
-	runTaskBody(task, ctx)
-	if ctx.CancelUnwound() {
-		if ctx.DeadlineExpired() {
-			p.finishExpired(st, done)
-		} else {
-			p.finishCancelled(st, done)
-		}
-		return
-	}
-	if ctx.failure != nil {
-		p.finishFailed(st, ctx.failure, done)
-		return
-	}
-	lat := time.Since(arrival)
-	p.mu.Lock()
-	p.completed++
-	p.degradedRuns++
-	if st != nil {
-		st.status = TaskCompleted
-		p.perClass[st.class].Completed++
-		delete(p.running, st)
-	}
-	p.hist.Record(int64(lat))
-	p.winLats = append(p.winLats, float64(lat))
-	p.mu.Unlock()
-	if done != nil {
-		done(lat)
+func (p *Pool) runCooperative(st *taskState) {
+	ctx := &Ctx{coop: true, cancelReq: &st.cancelReq, expiresAt: st.expires}
+	runTaskBody(st.task, ctx)
+	switch {
+	case ctx.DeadlineExpired():
+		p.finish(st, TaskExpiredExecuting, ExpiredLatency)
+	case ctx.CancelUnwound():
+		p.finish(st, TaskCancelledExecuting, CancelledLatency)
+	case ctx.failure != nil:
+		p.finishFailed(st, ctx.failure)
+	default:
+		p.mu.Lock()
+		p.degradedRuns++
+		p.mu.Unlock()
+		p.finish(st, TaskCompleted, time.Since(st.arrival))
 	}
 }
 
-// finishCancelled settles a task that unwound at a safepoint.
-func (p *Pool) finishCancelled(st *taskState, done func(time.Duration)) {
-	p.mu.Lock()
-	p.cancelledExec++
-	if st != nil {
-		st.status = TaskCancelledExecuting
-		p.perClass[st.class].CancelledExecuting++
+// afterRun settles a task whose time slice just ended, or requeues it
+// if the slice ended in a preemption.
+func (p *Pool) afterRun(st *taskState) {
+	fn := &st.fn
+	switch {
+	case fn.Failed():
+		p.finishFailed(st, fn.Err())
+	case fn.Expired():
+		p.finish(st, TaskExpiredExecuting, ExpiredLatency)
+	case fn.Cancelled():
+		p.finish(st, TaskCancelledExecuting, CancelledLatency)
+	case fn.Completed():
+		p.finish(st, TaskCompleted, time.Since(st.arrival))
+	default:
+		p.mu.Lock()
+		p.preempts++
+		st.status = TaskPreempted
 		delete(p.running, st)
+		if p.discipline == EDF {
+			p.pushEDFLocked(st)
+		} else {
+			p.preempted = append(p.preempted, st)
+		}
+		p.mu.Unlock()
+		p.cond.Signal()
 	}
+}
+
+// finish settles a task a worker holds in one of the terminal states
+// that need no more than counting: completed, shed at its pickup
+// deadline, expired (at dequeue or at a safepoint), or cancel-unwound.
+// lat is what its submitter observes.
+func (p *Pool) finish(st *taskState, status TaskState, lat time.Duration) {
+	p.mu.Lock()
+	pc := &p.perClass[st.class]
+	switch status {
+	case TaskCompleted:
+		p.completed++
+		pc.Completed++
+		p.hist.Record(int64(lat))
+		if p.adaptive {
+			p.winLats = append(p.winLats, float64(lat))
+		}
+	case TaskShed:
+		p.shed++
+		pc.Shed++
+	case TaskExpiredQueued:
+		p.expiredQueued++
+		pc.ExpiredQueued++
+	case TaskExpiredExecuting:
+		p.expiredExec++
+		pc.ExpiredExecuting++
+	case TaskCancelledExecuting:
+		p.cancelledExec++
+		pc.CancelledExecuting++
+	default:
+		panic("preemptible: finish with " + status.String())
+	}
+	st.status = status
+	delete(p.running, st)
 	p.mu.Unlock()
-	if done != nil {
-		done(CancelledLatency)
-	}
+	st.settle(lat)
 }
 
 // finishFailed settles a task whose body panicked: the fault was
 // contained by runTaskBody, the worker is unharmed, and the captured
 // TaskError is published on the handle (and to the OnFailure hook,
 // invoked outside the lock on this worker goroutine).
-func (p *Pool) finishFailed(st *taskState, terr *TaskError, done func(time.Duration)) {
-	class := ClassLC
+func (p *Pool) finishFailed(st *taskState, terr *TaskError) {
 	p.mu.Lock()
 	p.failed++
-	if st != nil {
-		class = st.class
-		st.status = TaskFailed
-		st.failure = terr
-		p.perClass[st.class].Failed++
-		delete(p.running, st)
-	}
-	hook := p.onFailure
+	p.perClass[st.class].Failed++
+	st.status = TaskFailed
+	st.failure = terr
+	delete(p.running, st)
 	p.mu.Unlock()
-	if hook != nil {
-		hook(class, terr)
+	if p.onFailure != nil {
+		p.onFailure(st.class, terr)
 	}
-	if done != nil {
-		done(FailedLatency)
-	}
-}
-
-func (p *Pool) afterRun(fn *Fn, st *taskState, arrival time.Time, deadline time.Time, done func(time.Duration)) {
-	if fn.Failed() {
-		p.finishFailed(st, fn.Err(), done)
-		return
-	}
-	if fn.Completed() {
-		if fn.Cancelled() {
-			if fn.Expired() {
-				p.finishExpired(st, done)
-			} else {
-				p.finishCancelled(st, done)
-			}
-			return
-		}
-		lat := time.Since(arrival)
-		p.mu.Lock()
-		p.completed++
-		if st != nil {
-			st.status = TaskCompleted
-			p.perClass[st.class].Completed++
-			delete(p.running, st)
-		}
-		p.hist.Record(int64(lat))
-		p.winLats = append(p.winLats, float64(lat))
-		p.mu.Unlock()
-		if done != nil {
-			done(lat)
-		}
-		return
-	}
-	p.mu.Lock()
-	p.preempts++
-	if st != nil {
-		st.status = TaskPreempted
-		delete(p.running, st)
-	}
-	if p.discipline == EDF {
-		p.pushEDFLocked(&edfItem{fn: fn, st: st, arrival: arrival, deadline: deadline, done: done})
-	} else {
-		p.preempted = append(p.preempted, poolPreempted{fn: fn, st: st, arrival: arrival, done: done})
-	}
-	p.mu.Unlock()
-	p.cond.Signal()
+	st.settle(FailedLatency)
 }
 
 // controller runs Algorithm 1 against the pool's live statistics.

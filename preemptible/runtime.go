@@ -97,9 +97,13 @@ type Runtime struct {
 	maxRestarts    int
 	restartWindow  time.Duration
 
+	// mu guards the timer service's registry of contexts and the
+	// watchdog's loop hand-over. It is off the per-task path: a context
+	// is registered once, when it is created, and removed when it is
+	// discarded.
 	mu       sync.Mutex
 	ctxs     map[*Ctx]struct{}
-	closed   bool
+	closed   atomic.Bool
 	stop     chan struct{}
 	loopQuit chan struct{} // closed by the watchdog to kill a wedged loop
 	stopWG   sync.WaitGroup
@@ -124,7 +128,24 @@ type Runtime struct {
 	preemptions atomic.Uint64
 	// launched counts Fns created.
 	launched atomic.Uint64
+
+	// free is the context free list (the paper's): idle contexts, each a
+	// parked goroutine still registered with the timer service with its
+	// deadline word disarmed. Launch pops one and release pushes it back.
+	// A Pool worker keeps the context of the task it just finished for
+	// its next launch, so the list and freeMu are touched only when a
+	// preempted task carries a worker's context away.
+	freeMu sync.Mutex
+	free   []*Ctx
 }
+
+// maxParked bounds the free list. It needs no knob: contexts exist only
+// in the number of tasks that were ever live at once, the bound merely
+// caps how many of those stay parked after a burst (a few KiB of
+// goroutine stack each), and a context released beyond it is discarded
+// — the next burst then pays the old per-task creation cost again,
+// nothing else changes.
+const maxParked = 256
 
 // ErrClosed is returned by Launch after Close.
 var ErrClosed = errors.New("preemptible: runtime closed")
@@ -183,19 +204,30 @@ func New(cfg Config) (*Runtime, error) {
 	return r, nil
 }
 
-// Close stops the timer goroutine and the watchdog. Fns still running
-// keep working but will no longer be preempted by deadline expiry.
-// Close is idempotent.
+// Close stops the timer goroutine and the watchdog and releases every
+// parked context goroutine. Fns still running keep working but will no
+// longer be preempted by deadline expiry; their contexts are discarded
+// as they end. Close is idempotent.
 func (r *Runtime) Close() {
 	r.mu.Lock()
-	if r.closed {
+	if r.closed.Load() {
 		r.mu.Unlock()
 		return
 	}
-	r.closed = true
+	r.closed.Store(true)
 	close(r.stop)
 	r.mu.Unlock()
 	r.stopWG.Wait()
+	// release checks closed under freeMu, so a context pushed before
+	// this swap is discarded here and one released after it discards
+	// itself.
+	r.freeMu.Lock()
+	parked := r.free
+	r.free = nil
+	r.freeMu.Unlock()
+	for _, c := range parked {
+		r.discard(c)
+	}
 }
 
 // Preemptions reports how many deadline expirations have been
@@ -257,12 +289,13 @@ func (r *Runtime) utimerLoop(quit chan struct{}) {
 		now := r.clock.Now().UnixNano()
 		r.mu.Lock()
 		for c := range r.ctxs {
+			// Parked contexts stay registered with their word at 0. The
+			// swap flags only the deadline that was read: a context
+			// reused in between keeps its new deadline.
 			d := c.deadline.Load()
-			if d != 0 && now >= d {
-				if c.preempt.CompareAndSwap(0, 1) {
-					r.preemptions.Add(1)
-					r.timerFlags.Add(1)
-				}
+			if d > 0 && now >= d && c.deadline.CompareAndSwap(d, preemptPending) {
+				r.preemptions.Add(1)
+				r.timerFlags.Add(1)
 			}
 		}
 		r.mu.Unlock()
@@ -296,7 +329,7 @@ func (r *Runtime) watchdog() {
 			continue
 		}
 		r.mu.Lock()
-		if r.closed {
+		if r.closed.Load() {
 			r.mu.Unlock()
 			return
 		}
@@ -332,29 +365,85 @@ func (r *Runtime) watchdog() {
 	}
 }
 
-// register adds a ctx's deadline word to the timer service
-// (utimer_register). It fails with ErrClosed after Close so that a
-// Launch racing Close can never leave a ctx registered forever.
+// acquire returns an idle context for a launch: spare if the caller
+// kept one from its last task (a Pool worker), else the top of the free
+// list, else a new one. It fails with ErrClosed after Close; a spare is
+// then discarded.
+func (r *Runtime) acquire(spare *Ctx) (*Ctx, error) {
+	if r.closed.Load() {
+		if spare != nil {
+			r.discard(spare)
+		}
+		return nil, ErrClosed
+	}
+	if spare != nil {
+		return spare, nil
+	}
+	r.freeMu.Lock()
+	if n := len(r.free); n > 0 {
+		c := r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+		r.freeMu.Unlock()
+		return c, nil
+	}
+	r.freeMu.Unlock()
+	c := &Ctx{rt: r, parkCh: make(chan struct{}), runCh: make(chan struct{}), yieldCh: make(chan bool)}
+	if err := r.register(c); err != nil {
+		return nil, err
+	}
+	go c.loop()
+	return c, nil
+}
+
+// release parks an idle context on the free list, or discards it when
+// the list is full or the runtime is closed.
+func (r *Runtime) release(c *Ctx) {
+	r.freeMu.Lock()
+	if r.closed.Load() || len(r.free) >= maxParked {
+		r.freeMu.Unlock()
+		r.discard(c)
+		return
+	}
+	r.free = append(r.free, c)
+	r.freeMu.Unlock()
+}
+
+// discard ends an idle context: its goroutine, parked in loop with no
+// task, is woken to exit, and its deadline word leaves the timer
+// service.
+func (r *Runtime) discard(c *Ctx) {
+	c.parkCh <- struct{}{}
+	r.mu.Lock()
+	delete(r.ctxs, c)
+	r.mu.Unlock()
+}
+
+// register adds a new context's deadline word to the timer service
+// (utimer_register). This and discard are the only places contexts meet
+// Runtime.mu — once per context, not per task. It fails with ErrClosed
+// after Close so that a Launch racing Close can never create a context
+// the closed runtime would keep forever.
 func (r *Runtime) register(c *Ctx) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return ErrClosed
 	}
 	r.ctxs[c] = struct{}{}
 	return nil
 }
 
-// unregister removes a finished ctx.
-func (r *Runtime) unregister(c *Ctx) {
-	r.mu.Lock()
-	delete(r.ctxs, c)
-	r.mu.Unlock()
-}
-
-// registered reports the number of live deadline words (for tests).
+// registered reports the number of contexts holding a live task (for
+// tests): parked contexts stay in the registry but do not count.
 func (r *Runtime) registered() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.ctxs)
+	n := 0
+	for c := range r.ctxs {
+		if c.live.Load() {
+			n++
+		}
+	}
+	return n
 }
