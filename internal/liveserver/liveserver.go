@@ -16,7 +16,9 @@
 // every shard, drains and rebuilds wedged ones, and retires flapping
 // ones permanently (see Config.SuperviseEnabled).
 //
-// Protocol (one request per line, responses newline-terminated):
+// Protocol (one request per line, responses newline-terminated; a
+// request is the bytes up to a newline — whatever follows the last one
+// when a connection ends was never sent in full and is never executed):
 //
 //	SET <key> <value>        → OK
 //	GET <key>                → VALUE <value> | NOT_FOUND
@@ -49,6 +51,15 @@
 // that a SET value's final word is consumed as metadata when it has
 // token shape (D or A followed by digits); clients needing such values
 // verbatim must append an explicit A0.
+//
+// Each connection is served by one goroutine (conn.go): it reads what
+// the socket has, handles every complete line in order — parsing bytes
+// in place, the pool task appending its response straight into the
+// connection's output buffer (request.go) — and writes the responses
+// once. Pipelined requests are answered in order and share reads and
+// writes. Nobody reads the socket while a request runs, unless it runs
+// long: a millisecond in, a watcher starts reading so that a client
+// that hangs up cancels the request it is no longer waiting for.
 //
 // Unknown or malformed requests get "ERR <reason>". Under overload the
 // server sheds rather than queues: connections beyond MaxConns and
@@ -86,24 +97,15 @@
 package liveserver
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"fmt"
 	"io"
 	"net"
-	"net/url"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bejob"
 	"repro/internal/breaker"
 	"repro/internal/brownout"
-	"repro/internal/mica"
 	"repro/internal/shard"
 	"repro/internal/wal"
 	"repro/preemptible"
@@ -149,14 +151,15 @@ type Config struct {
 	// server closes it — the defense against half-open clients pinning a
 	// goroutine and an fd forever (0 = connections may idle without
 	// limit, the pre-hardening behavior). A connection waiting on a
-	// long-running request is not idle: the reaper re-arms while a
-	// request is executing.
+	// long-running request is not idle: the timeout is the deadline of
+	// the connection loop's read, and the loop reads only with nothing
+	// in flight.
 	IdleTimeout time.Duration
-	// WriteTimeout, when positive, bounds each response write (and
-	// flush): a client that stops draining — half-open, or a zero
-	// receive window — fails the write and the connection closes,
-	// instead of its handler goroutine blocking in a send forever
-	// (0 = writes block without limit).
+	// WriteTimeout, when positive, bounds each write of responses (one
+	// per batch of pipelined requests): a client that stops draining —
+	// half-open, or a zero receive window — fails the write and the
+	// connection closes, instead of its goroutine blocking in a send
+	// forever (0 = writes block without limit).
 	WriteTimeout time.Duration
 
 	// Brownout parameterizes each shard's class-aware degradation
@@ -350,7 +353,7 @@ func (s *Server) Serve(ln net.Listener) error {
 				delete(s.conns, conn)
 				s.connMu.Unlock()
 			}()
-			s.handleConn(conn)
+			s.serveConn(conn)
 		}()
 	}
 }
@@ -379,8 +382,9 @@ func (s *Server) Addr() net.Addr {
 func (s *Server) Close() {
 	s.closed.Do(func() {
 		close(s.done)
-		// Force open connections closed: handleConn goroutines block in
-		// Scan otherwise.
+		// Force open connections closed: their goroutines block in Read
+		// otherwise (and a request parked in a pool is cancelled through
+		// its watcher).
 		s.connMu.Lock()
 		if s.ln != nil {
 			s.ln.Close()
@@ -396,11 +400,14 @@ func (s *Server) Close() {
 
 // Shutdown drains the server gracefully — the SIGTERM path. Accepting
 // stops immediately; each open connection finishes the request it is
-// serving (closing s.done stops the per-connection loops after the
-// in-flight response is written) and connections get until ctx's
-// deadline before being force-closed; finally every shard drains under
-// the same deadline, cancelling stragglers through the cancel-unwind
-// path. Returns nil on a complete drain, ctx.Err() if the deadline
+// serving and stops once that response is written (a connection loop
+// checks s.done after every request; one blocked in Read is kicked out
+// with a past read deadline, which the watcher of a request in flight
+// ignores) and connections get until ctx's deadline before being
+// force-closed — that ends the read side under the watchers and so
+// cancels what is still queued or executing; finally every shard drains
+// under the same deadline, cancelling stragglers through the
+// cancel-unwind path. Returns nil on a complete drain, ctx.Err() if the deadline
 // forced any teardown. Concurrent with Close: whichever runs first
 // wins, the other is a no-op.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -410,6 +417,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.connMu.Lock()
 		if s.ln != nil {
 			s.ln.Close()
+		}
+		for c := range s.conns {
+			c.SetReadDeadline(longAgo) //nolint:errcheck
 		}
 		s.connMu.Unlock()
 		connsDone := make(chan struct{})
@@ -494,469 +504,4 @@ func (s *Server) shedConn(conn net.Conn) {
 	conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
 	io.WriteString(conn, errLine(s.BrownoutState())+"\n")         //nolint:errcheck
 	conn.Close()
-}
-
-// handleConn serves one connection. Reading runs in its own goroutine
-// so the socket is being watched even while a request executes in a
-// pool: when the read side ends (disconnect, reset, shutdown) the
-// reader closes gone, and the in-flight request — queued or executing —
-// is cancelled instead of burning worker time for a client that will
-// never see the response. Detection is best-effort under pipelining:
-// a reader blocked handing over the next line is not in Scan and only
-// observes the disconnect after that line is consumed.
-func (s *Server) handleConn(conn net.Conn) {
-	defer conn.Close()
-	var act connActivity
-	act.touch()
-	gone := make(chan struct{}) // closed when the client's read side ends
-	lines := make(chan string)  // request lines, reader → handler
-	scanErr := make(chan error, 1)
-	go func() {
-		defer close(gone)
-		defer close(lines)
-		var src io.Reader = conn
-		if s.idleTimeout > 0 {
-			src = &idleReader{conn: conn, idle: s.idleTimeout, act: &act}
-		}
-		r := bufio.NewScanner(src)
-		initial := 64 * 1024
-		if initial > s.maxLineBytes {
-			initial = s.maxLineBytes
-		}
-		r.Buffer(make([]byte, 0, initial), s.maxLineBytes)
-		for r.Scan() {
-			// The line counts as in flight from before the handler can
-			// receive it, so the idle reaper never sees a quiet window
-			// between handoff and execution.
-			act.inflight.Add(1)
-			select {
-			case lines <- r.Text():
-			case <-s.done:
-				scanErr <- nil
-				return
-			}
-		}
-		scanErr <- r.Err()
-	}()
-	w := bufio.NewWriter(conn)
-	for {
-		var line string
-		var ok bool
-		select {
-		case <-s.done:
-			return
-		case line, ok = <-lines:
-		}
-		if !ok {
-			break
-		}
-		resp := s.handleRequest(line, gone)
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)) //nolint:errcheck
-		}
-		// Response and newline go into the buffer separately (joining
-		// them first would allocate and copy the whole response again);
-		// a bufio.Writer's error is sticky, so Flush reports all three.
-		w.WriteString(resp) //nolint:errcheck
-		w.WriteByte('\n')   //nolint:errcheck
-		werr := w.Flush()
-		if werr != nil {
-			if errors.Is(werr, os.ErrDeadlineExceeded) {
-				s.writeTimeouts.Add(1)
-			}
-			return
-		}
-		act.inflight.Add(-1)
-		act.touch()
-	}
-	// Read ended: a too-long line is a protocol violation the client
-	// should hear about before the close, and an idle-reaped connection
-	// is tallied; other read errors (reset, EOF) just close cleanly via
-	// the deferred Close.
-	err := <-scanErr
-	switch {
-	case err != nil && errors.Is(err, bufio.ErrTooLong):
-		s.lineTooLong.Add(1)
-		s.Requests.Errors.Add(1)
-		// A fresh write deadline: an earlier response's deadline may have
-		// long passed, and this line should not block on a dead client.
-		conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-		w.WriteString("ERR line too long\n")                          //nolint:errcheck
-		w.Flush()                                                     //nolint:errcheck
-		// Drain the unread remainder of the over-long line so the close
-		// sends FIN, not RST — otherwise the error line may never reach
-		// the client.
-		conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond)) //nolint:errcheck
-		io.Copy(io.Discard, conn)                                   //nolint:errcheck
-	case err != nil && errors.Is(err, os.ErrDeadlineExceeded):
-		s.idleClosed.Add(1)
-	}
-}
-
-// connActivity tracks one connection's liveness for the idle reaper:
-// last is the UnixNano of the latest inbound byte or completed
-// response, inflight the requests handed to the handler and not yet
-// answered.
-type connActivity struct {
-	last     atomic.Int64
-	inflight atomic.Int32
-}
-
-func (a *connActivity) touch() { a.last.Store(time.Now().UnixNano()) }
-
-// idleReader feeds a connection's Scanner while enforcing
-// Config.IdleTimeout. Each Read arms a read deadline at last
-// activity + idle; a deadline that fires while a request is executing
-// (or after activity moved the bar) re-arms instead of failing, so
-// only a connection that is truly quiet — no inbound bytes, nothing in
-// flight — for a full idle period surfaces os.ErrDeadlineExceeded and
-// ends the scan.
-type idleReader struct {
-	conn net.Conn
-	idle time.Duration
-	act  *connActivity
-}
-
-func (r *idleReader) Read(p []byte) (int, error) {
-	for {
-		deadline := time.Unix(0, r.act.last.Load()).Add(r.idle)
-		if r.act.inflight.Load() > 0 {
-			deadline = time.Now().Add(r.idle)
-		}
-		if err := r.conn.SetReadDeadline(deadline); err != nil {
-			return 0, err
-		}
-		n, err := r.conn.Read(p)
-		if n > 0 {
-			r.act.touch()
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				err = nil // bytes arrived; the next Read re-arms
-			}
-			return n, err
-		}
-		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
-			return n, err
-		}
-		if r.act.inflight.Load() > 0 || time.Now().Before(time.Unix(0, r.act.last.Load()).Add(r.idle)) {
-			continue // not idle: executing, or activity since arming
-		}
-		return 0, err
-	}
-}
-
-// HandleLine processes one protocol line exactly as a connection
-// handler would — parse, route, schedule, encode — with no disconnect
-// tracking, and returns the response line. It is the in-process entry
-// the perf-validation harness (internal/perfval) and the hot-path
-// benchmarks use to drive the full request path without TCP.
-func (s *Server) HandleLine(line string) string { return s.handleRequest(line, nil) }
-
-// ParseLine exercises the request-parse hot path alone: field split
-// plus metadata-token stripping, no routing or scheduling. It returns
-// the remaining fields and the protocol error line ("" when valid).
-// Exported so the perf-validation harness can benchmark and gate the
-// parser's allocs/op — the baseline the zero-alloc rewrite must beat.
-func ParseLine(line string) (fields []string, errLine string) {
-	fields, _, errLine = parseMeta(strings.Fields(line))
-	return fields, errLine
-}
-
-// reqMeta is one request's scheduling metadata, parsed from trailing
-// wire tokens: deadline is the hard completion deadline (zero = none),
-// attempt the client's attempt number (0 = primary).
-type reqMeta struct {
-	deadline time.Time
-	attempt  int64
-}
-
-// metaToken reports whether f has the shape of a trailing metadata
-// token: 'D' or 'A' followed by an optionally signed run of digits.
-// Shape alone claims the field — a malformed value ("D-5") is then a
-// protocol error, not data, so a client never silently loses a
-// deadline to a typo.
-func metaToken(f string) bool {
-	if len(f) < 2 || (f[0] != 'D' && f[0] != 'A') {
-		return false
-	}
-	rest := f[1:]
-	if rest[0] == '-' || rest[0] == '+' {
-		rest = rest[1:]
-	}
-	if rest == "" {
-		return false
-	}
-	for i := 0; i < len(rest); i++ {
-		if rest[i] < '0' || rest[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// parseMeta strips trailing metadata tokens — at most one D and one A,
-// in either order — off a request's fields. It returns the remaining
-// fields and the parsed metadata, or a non-empty protocol error line
-// for a malformed or duplicate token. D is strict: it must be a
-// positive in-range microsecond timestamp (negative, zero, and
-// overflowing values are rejected); A must be non-negative.
-func parseMeta(fields []string) ([]string, reqMeta, string) {
-	var meta reqMeta
-	var haveD, haveA bool
-	for len(fields) > 0 {
-		f := fields[len(fields)-1]
-		if !metaToken(f) {
-			break
-		}
-		v, err := strconv.ParseInt(f[1:], 10, 64)
-		if f[0] == 'D' {
-			if haveD {
-				return nil, reqMeta{}, "ERR duplicate token " + f
-			}
-			haveD = true
-			if err != nil || v <= 0 {
-				return nil, reqMeta{}, "ERR bad token " + f
-			}
-			meta.deadline = time.UnixMicro(v)
-		} else {
-			if haveA {
-				return nil, reqMeta{}, "ERR duplicate token " + f
-			}
-			haveA = true
-			if err != nil || v < 0 {
-				return nil, reqMeta{}, "ERR bad token " + f
-			}
-			meta.attempt = v
-		}
-		fields = fields[:len(fields)-1]
-	}
-	return fields, meta, ""
-}
-
-// keyless picks the shard for requests with no placement constraint
-// (PING, COMPRESS): round-robin over healthy shards, falling back to
-// the raw cursor when every shard is down — the request then settles
-// through the normal Unavailable path with full accounting.
-func (s *Server) keyless() int {
-	i := int(s.rr.Add(1)) % s.group.N()
-	if h := s.group.NextHealthy(i); h >= 0 {
-		return h
-	}
-	return i
-}
-
-// handleRequest runs one request through its shard and returns the
-// response line. Routing is resolved here, at parse time: keyed
-// requests (GET/SET) go to the rendezvous shard of their key, MGET
-// fans out per shard, keyless ones round-robin over healthy shards.
-// gone, when closed, marks the client as disconnected: in-flight pool
-// work for the request is cancelled (nil means no disconnect
-// tracking). KV operations run as ClassLC, COMPRESS as ClassBE; STATS2
-// is answered inline, off the pools, so shard health and brownout
-// state stay observable even while everything else sheds.
-func (s *Server) handleRequest(line string, gone <-chan struct{}) string {
-	fields := strings.Fields(line)
-	fields, meta, metaErr := parseMeta(fields)
-	if metaErr != "" {
-		s.Requests.Errors.Add(1)
-		return metaErr
-	}
-	if len(fields) == 0 {
-		s.Requests.Errors.Add(1)
-		return "ERR empty request"
-	}
-	var resp string
-	// run pushes one request task through shard idx's admission path
-	// (see shard.Shard.Do for the gate order, and for the counting: the
-	// shard tallies every outcome); a task that was shed leaves the
-	// protocol error line in resp. An already-past deadline is
-	// deliberately NOT fast-rejected at admission: the request is
-	// submitted and expires at dequeue, so the shard's per-class expiry
-	// counters and the pools' agree exactly.
-	run := func(idx int, class preemptible.Class, task preemptible.Task) {
-		res := s.group.Do(idx, class, task, shard.DoOptions{Deadline: meta.deadline, Attempt: meta.attempt, Gone: gone})
-		if msg := settle(res); msg != "" {
-			resp = msg
-		}
-	}
-	switch strings.ToUpper(fields[0]) {
-	case "PING":
-		run(s.keyless(), preemptible.ClassLC, func(ctx *preemptible.Ctx) { resp = "PONG" })
-		s.Requests.Ping.Add(1)
-	case "STATS2":
-		s.Requests.Stats.Add(1)
-		return s.statsV2Line()
-	case "GET":
-		if len(fields) != 2 {
-			s.Requests.Errors.Add(1)
-			return "ERR GET <key>"
-		}
-		key := []byte(fields[1])
-		idx := s.group.Route(key)
-		sh := s.group.Shard(idx)
-		run(idx, preemptible.ClassLC, func(ctx *preemptible.Ctx) {
-			res := sh.StoreGet(key)
-			if res.Hit {
-				resp = "VALUE " + string(res.Value)
-			} else {
-				resp = "NOT_FOUND"
-			}
-		})
-		s.Requests.Get.Add(1)
-	case "SET":
-		if len(fields) < 3 {
-			s.Requests.Errors.Add(1)
-			return "ERR SET <key> <value>"
-		}
-		key := []byte(fields[1])
-		value := strings.Join(fields[2:], " ")
-		idx := s.group.Route(key)
-		sh := s.group.Shard(idx)
-		run(idx, preemptible.ClassLC, func(ctx *preemptible.Ctx) {
-			// The ack gate: "OK" means the record is applied AND durable
-			// (logged + fsynced when a WAL is configured). A write the
-			// log cannot promise answers "ERR wal" — the store may have
-			// changed, but the client was never promised anything.
-			ok, err := sh.DurableSet(key, []byte(value))
-			switch {
-			case err != nil:
-				resp = "ERR wal"
-			case ok:
-				resp = "OK"
-			default:
-				resp = "ERR value too large"
-			}
-		})
-		s.Requests.Set.Add(1)
-	case "MGET":
-		if len(fields) < 2 {
-			s.Requests.Errors.Add(1)
-			return "ERR MGET <key> [<key> ...]"
-		}
-		s.Requests.MGet.Add(1)
-		return s.handleMGet(fields[1:], meta, gone)
-	case "COMPRESS":
-		if len(fields) != 2 {
-			s.Requests.Errors.Add(1)
-			return "ERR COMPRESS <kilobytes>"
-		}
-		kb, err := strconv.Atoi(fields[1])
-		if err != nil || kb <= 0 || kb > 1024 {
-			s.Requests.Errors.Add(1)
-			return "ERR COMPRESS wants 1..1024 kilobytes"
-		}
-		idx := s.keyless()
-		sh := s.group.Shard(idx)
-		run(idx, preemptible.ClassBE, func(ctx *preemptible.Ctx) {
-			eng := sh.Engine()
-			block := bejob.MakeBlock(1024, uint64(kb))
-			var in, out int
-			for i := 0; i < kb; i++ {
-				n, err := eng.CompressBlock(block)
-				if err != nil {
-					resp = "ERR " + err.Error()
-					return
-				}
-				in += len(block)
-				out += n
-				ctx.Checkpoint() // safepoint between kilobytes
-			}
-			resp = fmt.Sprintf("COMPRESSED %d %d", in, out)
-		})
-		s.Requests.Compress.Add(1)
-	default:
-		s.Requests.Errors.Add(1)
-		return "ERR unknown command " + fields[0]
-	}
-	return resp
-}
-
-// settle maps one shard disposition to its response line ("" for OK).
-func settle(res shard.Result) string {
-	switch res.Outcome {
-	case shard.OK:
-		return ""
-	case shard.RejectedShed, shard.RejectedInflight, shard.Timeout:
-		return "ERR overloaded"
-	case shard.RejectedBrownout:
-		return "ERR brownout"
-	case shard.Unavailable:
-		return "ERR unavailable"
-	case shard.CancelledQueued, shard.CancelledExecuting:
-		return "ERR cancelled"
-	case shard.ExpiredQueued, shard.ExpiredExecuting:
-		return "ERR deadline"
-	case shard.Evicted:
-		return errLine(res.BState)
-	}
-	return "ERR internal" // shard.Failed: the task panicked
-}
-
-// failToken maps a failed MGET shard leg to its per-key result token.
-func failToken(o shard.Outcome) string {
-	switch o {
-	case shard.Unavailable:
-		return "UNAVAILABLE"
-	case shard.ExpiredQueued, shard.ExpiredExecuting:
-		return "DEADLINE"
-	case shard.RejectedShed, shard.RejectedInflight, shard.Timeout:
-		return "OVERLOADED"
-	case shard.RejectedBrownout, shard.Evicted:
-		return "BROWNOUT"
-	case shard.CancelledQueued, shard.CancelledExecuting:
-		return "CANCELLED"
-	default:
-		return "ERROR"
-	}
-}
-
-// handleMGet is the multi-key fan-out: keys are grouped by rendezvous
-// shard, each shard gets one LC leg carrying the request's wire
-// deadline, and the legs run concurrently. Results are per key, in
-// request order, with explicit partial failure: a leg that cannot run —
-// its shard is Restarting/Dead, shedding, draining, or the leg expired
-// — fails only its own keys with a failure token while every other
-// leg's keys come back with real values. Each leg is one shard.Do, so
-// the admission counters see MGET as N(shards touched) requests, not
-// one.
-func (s *Server) handleMGet(keys []string, meta reqMeta, gone <-chan struct{}) string {
-	tokens := make([]string, len(keys))
-	byShard := make(map[int][]int)
-	for i, k := range keys {
-		idx := s.group.Route([]byte(k))
-		byShard[idx] = append(byShard[idx], i)
-	}
-	var wg sync.WaitGroup
-	for idx, kidx := range byShard {
-		wg.Add(1)
-		go func(idx int, kidx []int) {
-			defer wg.Done()
-			sh := s.group.Shard(idx)
-			// The leg's task fills its keys' tokens with no safepoint in
-			// between: it either ran (every token set) or it did not run
-			// at all, so a failure token never overwrites a real value.
-			// (sh.Do, not group.Do: a leg is a new goroutine on a 2 KiB
-			// stack, and the wait at the bottom of Do sits within a frame
-			// or two of making every leg grow it.)
-			res := sh.Do(preemptible.ClassLC, func(ctx *preemptible.Ctx) {
-				sh.StoreView(func(st *mica.Store) {
-					for _, i := range kidx {
-						r := st.Get([]byte(keys[i]))
-						if r.Hit {
-							tokens[i] = "=" + url.QueryEscape(string(r.Value))
-						} else {
-							tokens[i] = "NOT_FOUND"
-						}
-					}
-				})
-			}, shard.DoOptions{Deadline: meta.deadline, Attempt: meta.attempt, Gone: gone})
-			if res.Outcome != shard.OK {
-				tok := failToken(res.Outcome)
-				for _, i := range kidx {
-					tokens[i] = tok
-				}
-			}
-		}(idx, kidx)
-	}
-	wg.Wait()
-	return "MVALUES " + strings.Join(tokens, " ")
 }

@@ -123,6 +123,27 @@ type GetResult struct {
 
 // Get looks up key.
 func (s *Store) Get(key []byte) GetResult {
+	v, slot, ok := s.find(key)
+	if !ok {
+		return GetResult{}
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return GetResult{Value: out, Hit: true, Displacement: slot}
+}
+
+// AppendGet is Get for a caller that has a buffer: on a hit the value is
+// appended to dst, with no allocation when dst has the room. The same
+// counters move as for Get.
+func (s *Store) AppendGet(dst, key []byte) ([]byte, bool) {
+	v, _, ok := s.find(key)
+	return append(dst, v...), ok
+}
+
+// find counts one lookup and returns key's value as it lies in the log
+// — valid only until the next Set — with the bucket slot it was found
+// at.
+func (s *Store) find(key []byte) (value []byte, slot int, ok bool) {
 	s.Gets++
 	h := hash64(key)
 	b := &s.buckets[uint32(h)&s.mask]
@@ -131,12 +152,12 @@ func (s *Store) Get(key []byte) GetResult {
 		if b[i].used && b[i].tag == tag {
 			if v, ok := s.valueAt(b[i].offset, key); ok {
 				s.Hits++
-				return GetResult{Value: v, Hit: true, Displacement: i}
+				return v, i, true
 			}
 		}
 	}
 	s.Misses++
-	return GetResult{}
+	return nil, 0, false
 }
 
 // append writes the item at the log head, wrapping circularly. Items
@@ -176,7 +197,8 @@ func (s *Store) keyAt(off uint32, key []byte) bool {
 	return true
 }
 
-// valueAt returns the value of the record at off if it still holds key.
+// valueAt returns the value of the record at off, in place in the log,
+// if it still holds key.
 func (s *Store) valueAt(off uint32, key []byte) ([]byte, bool) {
 	if !s.keyAt(off, key) {
 		return nil, false
@@ -187,9 +209,7 @@ func (s *Store) valueAt(off uint32, key []byte) ([]byte, bool) {
 	if start+vl > len(s.log) {
 		return nil, false
 	}
-	out := make([]byte, vl)
-	copy(out, s.log[start:start+vl])
-	return out, true
+	return s.log[start : start+vl], true
 }
 
 // Range calls fn for every live key/value pair — exactly the pairs a

@@ -461,6 +461,17 @@ func (s *Shard) StoreGet(key []byte) mica.GetResult {
 	return r
 }
 
+// StoreAppendGet is StoreGet into the caller's buffer: a hit's value is
+// appended to dst while the store lock is held, so the read allocates
+// nothing.
+func (s *Shard) StoreAppendGet(dst, key []byte) ([]byte, bool) {
+	u := s.snapshot()
+	s.storeMu.Lock()
+	dst, hit := u.store.AppendGet(dst, key)
+	s.storeMu.Unlock()
+	return dst, hit
+}
+
 // StoreView runs f on the current generation's store under the shard's
 // store lock — the multi-op access path (MGET, tests).
 func (s *Shard) StoreView(f func(st *mica.Store)) {

@@ -2,9 +2,11 @@ package tailclient
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,31 +252,55 @@ type Client struct {
 	errored, evicted             uint64
 }
 
-// wireConn is one pooled connection.
+// wireConn is one pooled connection, with the buffer its request lines
+// are assembled in.
 type wireConn struct {
-	nc net.Conn
-	br *bufio.Reader
+	nc   net.Conn
+	br   *bufio.Reader
+	wbuf []byte
 }
 
-// roundTrip writes one request line and reads one newline-terminated
-// response. A response truncated by a mid-stream close or reset is an
-// error, never a success — bufio.Scanner would have returned the final
-// unterminated token as valid text, which is exactly how a torn
-// response used to masquerade as a server reply. consumed reports
-// whether any response bytes were read before the failure: if so, the
-// server started (and may have finished) executing the request.
-func (w *wireConn) roundTrip(line string, ioDeadline time.Time) (resp string, consumed bool, err error) {
+// roundTrip writes one request line — op, then the D and A tokens the
+// deadline and attempt number call for — and reads one
+// newline-terminated response. A response truncated by a mid-stream
+// close or reset is an error, never a success — bufio.Scanner would
+// have returned the final unterminated token as valid text, which is
+// exactly how a torn response used to masquerade as a server reply.
+// consumed reports whether any response bytes were read before the
+// failure: if so, the server started (and may have finished) executing
+// the request.
+func (w *wireConn) roundTrip(op string, deadline time.Time, attempt int, ioDeadline time.Time) (resp string, consumed bool, err error) {
 	if err := w.nc.SetDeadline(ioDeadline); err != nil {
 		return "", false, err
 	}
-	if _, err := w.nc.Write([]byte(line + "\n")); err != nil {
+	line := append(w.wbuf[:0], op...)
+	if !deadline.IsZero() {
+		line = strconv.AppendInt(append(line, " D"...), deadline.UnixMicro(), 10)
+	}
+	if attempt > 0 {
+		line = strconv.AppendInt(append(line, " A"...), int64(attempt), 10)
+	}
+	line = append(line, '\n')
+	w.wbuf = line
+	if _, err := w.nc.Write(line); err != nil {
 		return "", w.br.Buffered() > 0, err
 	}
-	s, err := w.br.ReadString('\n')
-	if err != nil {
-		return "", len(s) > 0, err
+	// The reply is converted to a string once, straight out of the
+	// reader's buffer. One longer than that buffer (a 60 KiB value, a
+	// wide MGET) is gathered the slow way, behind the part already read.
+	b, err := w.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		head := string(b)
+		var tail string
+		if tail, err = w.br.ReadString('\n'); err == nil {
+			return strings.TrimRight(head+tail, "\r\n"), true, nil
+		}
+		return "", true, err
 	}
-	return strings.TrimRight(s, "\r\n"), true, nil
+	if err != nil {
+		return "", len(b) > 0, err
+	}
+	return string(bytes.TrimRight(b, "\r\n")), true, nil
 }
 
 // New builds a client. No connection is dialed until the first Do.
@@ -439,48 +465,44 @@ func classify(resp string) attemptKind {
 	}
 }
 
-// startAttempt sends one wire attempt (with D/A tokens appended) on a
-// pooled connection in its own goroutine; the reply lands in the
-// returned 1-buffered channel, so an abandoned attempt never blocks
-// and its connection still returns to the stack when the server
-// answers (typically promptly with "ERR deadline", since the
-// abandoning client's wire deadline travels with the attempt).
-func (c *Client) startAttempt(op string, deadline time.Time, attempt int) <-chan attemptReply {
-	line := op
-	if !deadline.IsZero() {
-		line += fmt.Sprintf(" D%d", deadline.UnixMicro())
-	}
-	if attempt > 0 {
-		line += fmt.Sprintf(" A%d", attempt)
-	}
+// attempt sends one wire attempt of op (attempt number n, with its D and
+// A tokens) on a pooled connection and classifies what came back. It
+// blocks for the server's answer, bounded by the attempt's I/O deadline
+// and by Close, which closes the connection under it.
+func (c *Client) attempt(op string, deadline time.Time, n int) attemptReply {
 	atomic.AddUint64(&c.attempts, 1)
+	cn, err := c.getConn()
+	if err != nil {
+		// Dial failure or ErrClosed: nothing was sent, always safe to
+		// retry (Close aborts the op via c.done regardless).
+		return attemptReply{kind: kindRetryable}
+	}
+	resp, consumed, err := cn.roundTrip(op, deadline, n, c.ioDeadline(deadline))
+	if err != nil {
+		// Whatever broke this conn — stall past the I/O deadline, reset,
+		// torn response — it never re-enters the pool.
+		c.dropConn(cn)
+		if consumed && !c.cfg.Idempotent(op) {
+			// Response bytes were consumed, so the server started
+			// executing a non-idempotent op: re-sending could apply it
+			// twice. Terminal.
+			return attemptReply{kind: kindBroken}
+		}
+		return attemptReply{kind: kindRetryable}
+	}
+	c.putConn(cn)
+	return attemptReply{resp: resp, kind: classify(resp)}
+}
+
+// startAttempt runs attempt in its own goroutine — a leg of a hedged
+// race; the reply lands in the returned 1-buffered channel, so an
+// abandoned attempt never blocks and its connection still returns to
+// the stack when the server answers (typically promptly with "ERR
+// deadline", since the abandoning client's wire deadline travels with
+// the attempt).
+func (c *Client) startAttempt(op string, deadline time.Time, n int) <-chan attemptReply {
 	ch := make(chan attemptReply, 1)
-	go func() {
-		cn, err := c.getConn()
-		if err != nil {
-			// Dial failure or ErrClosed: nothing was sent, always safe
-			// to retry (Close aborts the op via c.done regardless).
-			ch <- attemptReply{kind: kindRetryable}
-			return
-		}
-		resp, consumed, err := cn.roundTrip(line, c.ioDeadline(deadline))
-		if err != nil {
-			// Whatever broke this conn — stall past the I/O deadline,
-			// reset, torn response — it never re-enters the pool.
-			c.dropConn(cn)
-			if consumed && !c.cfg.Idempotent(op) {
-				// Response bytes were consumed, so the server started
-				// executing a non-idempotent op: re-sending could apply
-				// it twice. Terminal.
-				ch <- attemptReply{kind: kindBroken}
-				return
-			}
-			ch <- attemptReply{kind: kindRetryable}
-			return
-		}
-		c.putConn(cn)
-		ch <- attemptReply{resp: resp, kind: classify(resp)}
-	}()
+	go func() { ch <- c.attempt(op, deadline, n) }()
 	return ch
 }
 
@@ -577,24 +599,36 @@ func (c *Client) Do(op string) (Result, error) {
 	}
 }
 
-// raceAttempts runs one primary attempt and, when hedging is enabled
-// and the budget allows, a hedge after the adaptive delay. The first
-// successful response wins; a failed leg waits for its in-flight twin
-// before reporting (the twin might still succeed). When both legs
-// fail, failRank picks the verdict: expired > broken > retryable (see
-// failRank for why broken must be sticky).
+// raceAttempts runs one primary attempt — inline when hedging is off —
+// and, when hedging is enabled and the budget allows, a hedge after the
+// adaptive delay. The first successful response wins; a failed leg
+// waits for its in-flight twin before reporting (the twin might still
+// succeed). When both legs fail, failRank picks the verdict: expired >
+// broken > retryable (see failRank for why broken must be sticky).
 func (c *Client) raceAttempts(op string, deadline time.Time, attempt *int, res *Result) (attemptReply, bool) {
-	primary := c.startAttempt(op, deadline, *attempt)
+	n := *attempt
 	*attempt++
 	res.Attempts++
-
-	var hedgeC <-chan time.Time
-	var hedgeTimer *time.Timer
-	if c.cfg.Hedge {
-		hedgeTimer = time.NewTimer(c.HedgeDelay())
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
+	if !c.cfg.Hedge {
+		// Nothing to race: the attempt runs on the caller's goroutine.
+		// Close closes the connection under a blocked read, and an attempt
+		// that failed because of it is an abort, not a transport error to
+		// retry.
+		r := c.attempt(op, deadline, n)
+		if r.kind != kindOK {
+			select {
+			case <-c.done:
+				return attemptReply{}, true
+			default:
+			}
+		}
+		return r, false
 	}
+	primary := c.startAttempt(op, deadline, n)
+
+	hedgeTimer := time.NewTimer(c.HedgeDelay())
+	defer hedgeTimer.Stop()
+	hedgeC := hedgeTimer.C
 	var hedge <-chan attemptReply
 	pending := 1
 	fail := attemptReply{kind: kindRetryable}

@@ -6,6 +6,15 @@
 // so a struggling server is never hit with a self-inflicted retry
 // storm ("The Tail at Scale" client half; the server half is the
 // pool's doomed-work shedding).
+//
+// One function, attempt, is a wire attempt: take a pooled connection,
+// assemble the request line with its tokens in the connection's write
+// buffer, write it once, read the newline-terminated reply straight out
+// of the reader's buffer, classify it. With hedging off it runs on the
+// caller's goroutine — an operation costs no goroutine, no channel and
+// one allocation, the reply string — and Close, which closes every live
+// connection, is what interrupts it. With hedging on the same function
+// runs in a goroutine per leg and the legs race.
 package tailclient
 
 import (

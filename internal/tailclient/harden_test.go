@@ -244,3 +244,42 @@ func TestDefaultIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseAbortsInlineAttempt: with hedging off the attempt runs on the
+// caller's goroutine, blocked in a read nothing bounds — no I/O timeout,
+// no deadline, a server that never answers. Close must still end the
+// operation promptly, and as Aborted/ErrClosed: the read error Close
+// causes is not a transport fault to retry.
+func TestCloseAbortsInlineAttempt(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	got := make(chan struct{})
+	addr := startRawServer(t, func(_ int, conn net.Conn) {
+		if _, ok := readLine(conn); ok {
+			close(got)
+		}
+		io.Copy(io.Discard, conn) //nolint:errcheck // silent until the client hangs up
+	})
+	c := New(Config{Addr: addr, Seed: 1})
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := c.Do("SET k v")
+		done <- outcome{res, err}
+	}()
+	<-got
+	c.Close()
+	select {
+	case o := <-done:
+		if o.err != ErrClosed || o.res.Outcome != Aborted || o.res.Attempts != 1 || o.res.Retries != 0 {
+			t.Fatalf("Do = %+v, %v; want Aborted / ErrClosed after one attempt", o.res, o.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Do still blocked 2s after Close")
+	}
+	if st := c.Stats(); st.Aborted != 1 || st.Retries != 0 || st.Errored != 0 {
+		t.Fatalf("stats = %+v, want one aborted op and nothing retried", st)
+	}
+}

@@ -1,11 +1,14 @@
 package tailclient
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/liveserver"
+	"repro/internal/testutil"
 	"repro/preemptible"
 )
 
@@ -56,5 +59,72 @@ func TestAgainstLiveServer(t *testing.T) {
 		if cs.ExpiredQueued != 0 || cs.ExpiredExecuting != 0 {
 			t.Fatalf("deadline-carrying steady-state traffic expired server-side: %s %+v", class, cs)
 		}
+	}
+}
+
+// startLiveServer serves a real liveserver on a loopback port.
+func startLiveServer(t *testing.T) string {
+	t.Helper()
+	rt, err := preemptible.New(preemptible.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	s := liveserver.New(rt, liveserver.Config{Workers: 2, BrownoutDisabled: true})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln) //nolint:errcheck
+	t.Cleanup(s.Close)
+	return ln.Addr().String()
+}
+
+// TestAllocBudgetLoopback pins what one operation allocates end to end —
+// client and server together, over loopback TCP, with a deadline on the
+// wire as a deployed client has: the unit-test twin of the benchmark's
+// gated allocs_per_op. What is left is the Result.Resp string.
+func TestAllocBudgetLoopback(t *testing.T) {
+	c := New(Config{Addr: startLiveServer(t), OpDeadline: 5 * time.Second, Seed: 1})
+	defer c.Close()
+	for _, row := range []struct {
+		op, want string
+		budget   float64
+	}{
+		{"SET k value-of-thirty-two-bytes-----x", "OK", 1},
+		{"GET k", "VALUE value-of-thirty-two-bytes-----x", 1},
+	} {
+		testutil.AllocBudget(t, `Client.Do("`+row.op+`") over loopback`, row.budget, func() {
+			if res, err := c.Do(row.op); err != nil || res.Outcome != OK || res.Resp != row.want || res.Attempts != 1 {
+				t.Fatalf("%s: res=%+v err=%v", row.op, res, err)
+			}
+		})
+	}
+}
+
+// TestLongReplyRoundTrips: a reply longer than the connection's 64 KiB
+// reader — a fat value, a wide MGET — takes the accumulating read, and
+// the connection is good for the next operation.
+func TestLongReplyRoundTrips(t *testing.T) {
+	c := New(Config{Addr: startLiveServer(t), MaxConns: 1, Seed: 1})
+	defer c.Close()
+	big := strings.Repeat("v", 60<<10)
+	var mget, want strings.Builder
+	for i := 0; i < 3; i++ {
+		key := fmt.Sprintf("big%d", i)
+		if res, err := c.Do("SET " + key + " " + big + " A0"); err != nil || res.Resp != "OK" {
+			t.Fatalf("SET %s: res.Outcome=%v err=%v", key, res.Outcome, err)
+		}
+		mget.WriteString(" " + key)
+		want.WriteString(" =" + big)
+	}
+	if res, err := c.Do("MGET" + mget.String()); err != nil || res.Outcome != OK || res.Resp != "MVALUES"+want.String() {
+		t.Fatalf("MGET: outcome %v, %d reply bytes (want %d), err %v", res.Outcome, len(res.Resp), len("MVALUES")+want.Len(), err)
+	}
+	if res, err := c.Do("GET big0"); err != nil || res.Resp != "VALUE "+big {
+		t.Fatalf("GET after the long reply: outcome %v, %d reply bytes, err %v", res.Outcome, len(res.Resp), err)
+	}
+	if st := c.Stats(); st.ConnsEvicted != 0 || st.Attempts != 5 {
+		t.Fatalf("stats = %+v, want 5 attempts on one healthy connection", st)
 	}
 }
