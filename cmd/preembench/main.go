@@ -1,7 +1,8 @@
 // Command preembench regenerates the tables and figures of the
 // LibPreemptible paper (HPCA 2024) on the simulated substrate, and
-// runs the continuous perf-validation harness (internal/perfval)
-// against the live server stack.
+// runs the chaos soak (internal/soak) against the live server stack.
+// The live stack's performance is measured by the repository benchmark,
+// `bash benchmark/run.sh`, not from here.
 //
 // Usage:
 //
@@ -10,16 +11,6 @@
 //	preembench -all                  regenerate everything
 //	preembench -exp fig8 -quick      fast, low-fidelity run
 //	preembench -seed 7               change the deterministic seed
-//
-// Perf validation: run the fixed bench matrix, write the next
-// BENCH_<n>.json trajectory point into -out, diff it against the
-// latest committed point under the thresholds bands, and exit nonzero
-// on any regression:
-//
-//	preembench -perfval -quick            CI smoke (fast durations)
-//	preembench -perfval                   soak durations
-//	preembench -perfval -quick -prev BENCH_1.json
-//	preembench -perfval -injectdelay 200ms   prove the gate fires
 //
 // Chaos soak: run the live sharded stack under seeded wire faults,
 // shard kills, and panic poisoning (internal/soak) while continuously
@@ -33,8 +24,7 @@
 //	preembench -soak -planonly -seed 1       print the fault schedule
 //
 // Output is tab-separated tables, one block per artifact, in the same
-// row/series structure the paper reports; -perfval prints an aligned
-// human report after writing the JSON artifact.
+// row/series structure the paper reports.
 package main
 
 import (
@@ -43,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/perfval"
 	"repro/internal/soak"
 	"repro/preemptsim"
 )
@@ -58,13 +47,6 @@ func main() {
 		all   = flag.Bool("all", false, "run every experiment")
 		quick = flag.Bool("quick", false, "reduced-fidelity quick run")
 		seed  = flag.Uint64("seed", 1, "deterministic seed")
-
-		pv      = flag.Bool("perfval", false, "run the perf-validation harness instead of a simulation experiment")
-		pvOut   = flag.String("out", ".", "directory for BENCH_<n>.json trajectory points (perfval mode)")
-		pvPrev  = flag.String("prev", "", "baseline BENCH file to diff against (perfval mode; default: latest in -out)")
-		pvTh    = flag.String("thresholds", "", "thresholds.json overriding the built-in bands (perfval mode)")
-		pvDelay = flag.Duration("injectdelay", 0, "synthetic latency added to every successful op — a planted regression to prove the gate fires (perfval mode)")
-		pvDry   = flag.Bool("norecord", false, "skip writing the BENCH file; run and diff only (perfval mode)")
 
 		doSoak   = flag.Bool("soak", false, "run a chaos soak against the live stack instead of a simulation experiment")
 		soakDur  = flag.Duration("duration", 60*time.Second, "soak length (soak mode)")
@@ -86,15 +68,6 @@ func main() {
 			out:      *soakOut,
 			planOnly: *planOnly,
 		}))
-	}
-
-	if *pv {
-		os.Exit(runPerfval(perfval.Config{
-			Seed:        *seed,
-			Quick:       *quick,
-			InjectDelay: *pvDelay,
-			Log:         os.Stderr,
-		}, *pvOut, *pvPrev, *pvTh, *pvDry))
 	}
 
 	if *list {
@@ -129,67 +102,4 @@ func main() {
 			fmt.Println(t.String())
 		}
 	}
-}
-
-// runPerfval executes the harness, records the trajectory point, and
-// gates against the baseline. Exit codes: 0 pass, 1 regression (or
-// execution error), 2 usage error.
-func runPerfval(cfg perfval.Config, outDir, prevPath, thPath string, dry bool) int {
-	th := perfval.DefaultThresholds()
-	if thPath != "" {
-		var err error
-		if th, err = perfval.LoadThresholds(thPath); err != nil {
-			fmt.Fprintln(os.Stderr, "preembench:", err)
-			return 2
-		}
-	}
-	// Resolve the baseline before the (slow) run so a bad -prev fails fast.
-	var prev *perfval.Run
-	latestN := 0
-	if prevPath == "" {
-		var err error
-		prevPath, latestN, err = perfval.Latest(outDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "preembench:", err)
-			return 2
-		}
-	}
-	if prevPath != "" {
-		var err error
-		if prev, err = perfval.ReadRun(prevPath); err != nil {
-			fmt.Fprintln(os.Stderr, "preembench:", err)
-			return 2
-		}
-		if latestN < prev.Bench {
-			latestN = prev.Bench
-		}
-	}
-
-	run, err := perfval.Execute(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "preembench:", err)
-		return 1
-	}
-	if dry {
-		fmt.Fprintln(os.Stderr, "perfval: -norecord: BENCH file not written")
-	} else {
-		path, err := perfval.WriteRun(outDir, run, latestN+1)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "preembench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "perfval: wrote %s\n", path)
-	}
-	perfval.WriteReport(os.Stdout, run)
-
-	if prev == nil {
-		fmt.Println("perfval: no baseline BENCH file; recorded first trajectory point, nothing to gate")
-		return 0
-	}
-	regs := perfval.Diff(prev, run, th)
-	perfval.WriteDiffReport(os.Stdout, prevPath, regs)
-	if len(regs) > 0 {
-		return 1
-	}
-	return 0
 }

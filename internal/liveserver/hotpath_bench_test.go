@@ -12,14 +12,14 @@ import (
 //
 //	go test -bench BenchmarkHotPath -benchmem ./internal/liveserver/
 //
-// These are the allocs/op series the perf-validation harness
-// (internal/perfval) records into BENCH_<n>.json and gates with
-// thresholds. The request path parses and encodes bytes; what these
-// string entry points still pay is the copy in and out (ParseLine: the
-// line and the []string; HandleLine: a handler per call, the line and
-// the response string), and STATS2 pays encoding/json. Keep the pair in sync with perfval's hot-path
-// probes; the byte tokenizer against the stdlib one it replaced is
-// BenchmarkParseBytes / BenchmarkParseReference (reference_test.go).
+// The benchmark's traced run reports the same entry points as its
+// liveserver.parse / handle_line / stats2 ladder rows, and
+// TestAllocBudget* pins their allocations. The request path parses and
+// encodes bytes; what these string entry points still pay is the copy in
+// and out (ParseLine: the line and the []string; HandleLine: a handler
+// per call, the line and the response string), and STATS2 pays
+// encoding/json. The byte tokenizer against the stdlib one it replaced
+// is BenchmarkParseBytes / BenchmarkParseReference (reference_test.go).
 
 func newBenchServer(b *testing.B) *Server {
 	b.Helper()

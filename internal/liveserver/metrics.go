@@ -3,9 +3,9 @@
 // One schema-versioned JSON document carries every series the server
 // exports — per-class admission counters, latency quantiles, breaker
 // state, and pool scheduling counters — both as group totals and per
-// shard, so a dashboard (or the perf-validation harness in
-// internal/perfval) can watch a live soak and gate on exactly the
-// numbers the server exports.
+// shard, so a dashboard, the soak's conservation checker and the
+// benchmark's traced run all read exactly the numbers the server
+// exports.
 //
 // The same document is reachable two ways:
 //

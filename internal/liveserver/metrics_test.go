@@ -2,6 +2,7 @@ package liveserver
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -316,6 +317,73 @@ func TestMetricsScrapeConsistentUnderLoad(t *testing.T) {
 			}
 		}
 		completed = m.Totals["lc"].Completed
+	}
+}
+
+// TestMetricsAfterShutdownEqualWhatWasDriven: a drained server reports
+// what it served, once. Retiring a generation folds its pool and WAL
+// counters into the shard's accumulators while the shard still points at
+// that generation, so a reader that adds "retired" and "live" must not
+// find the same pool on both sides — after Shutdown (what preemkv's exit
+// summary reads) or at any moment of the drain (a scraper sampling
+// through it must see neither a doubled nor a missing generation).
+func TestMetricsAfterShutdownEqualWhatWasDriven(t *testing.T) {
+	const sets = 120
+	s, addr := startServer(t, Config{Shards: 2, Workers: 2, WALDir: t.TempDir()})
+	c := dial(t, addr)
+	for i := 0; i < sets; i++ {
+		if resp := c.roundTrip(t, fmt.Sprintf("SET k%d v%d", i, i)); resp != "OK" {
+			t.Fatalf("SET %d: %q", i, resp)
+		}
+	}
+	c.conn.Close()
+
+	// Everything driven has completed, so every sample — before, during
+	// and after the drain — reads exactly the final value.
+	read := func() (pool, appends uint64) {
+		for i := 0; i < s.Group().N(); i++ {
+			appends += s.Group().Shard(i).WALStats().Appends
+		}
+		return s.PoolStats().Completed, appends
+	}
+	stop := make(chan struct{})
+	sampled := make(chan string, 1)
+	go func() {
+		for n := 0; ; n++ {
+			if pool, appends := read(); pool != sets || appends != sets {
+				sampled <- fmt.Sprintf("sample %d: pool completed %d, wal appends %d, want %d of each", n, pool, appends, sets)
+				return
+			}
+			select {
+			case <-stop:
+				sampled <- ""
+				return
+			default:
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	close(stop)
+	if bad := <-sampled; bad != "" {
+		t.Error(bad)
+	}
+
+	m := s.MetricsV2()
+	if got := m.Totals["lc"].Completed; got != sets {
+		t.Errorf("STATS2 totals.lc.completed = %d after Shutdown, want %d", got, sets)
+	}
+	if m.Pool.Completed != sets || m.Pool.Submitted != sets {
+		t.Errorf("STATS2 pool = %+v after Shutdown, want %d submitted and completed", m.Pool, sets)
+	}
+	if m.WAL.WalAppends != sets {
+		t.Errorf("STATS2 wal_appends = %d after Shutdown, want %d", m.WAL.WalAppends, sets)
+	}
+	if pool, appends := read(); pool != sets || appends != sets {
+		t.Errorf("after Shutdown: PoolStats().Completed %d, Σ WALStats().Appends %d, want %d of each", pool, appends, sets)
 	}
 }
 

@@ -43,11 +43,10 @@ type handler struct {
 // HandleLine processes one protocol line exactly as a connection
 // would — parse, route, schedule, encode — with no disconnect tracking,
 // and returns the response line. It is the in-process entry the
-// benchmark ladder, the perf-validation harness (internal/perfval) and
-// the hot-path benchmarks use to drive the full request path without
-// TCP: a thin wrapper that pays, per call, for what a connection sets up
-// once (the handler, its bound task, its buffers) and for the copy of the
-// line in and of the response out.
+// benchmark ladder and the hot-path benchmarks use to drive the full
+// request path without TCP: a thin wrapper that pays, per call, for what
+// a connection sets up once (the handler, its bound task, its buffers)
+// and for the copy of the line in and of the response out.
 func (s *Server) HandleLine(line string) string { return s.handleRequest(line, nil) }
 
 // handleRequest is HandleLine with disconnect tracking: gone, when

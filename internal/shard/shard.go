@@ -318,6 +318,14 @@ type unit struct {
 	breakers [preemptible.NumClasses]*breaker.Breaker
 	loopStop chan struct{}
 	retired  bool // set under Shard.mu; makes retire idempotent per generation
+	// folded is set under Shard.mu in the critical section that adds
+	// this generation's pool and WAL counters to the shard's retired
+	// accumulators. The unit stays installed as cur after that (for good
+	// once the shard is closed, until the swap in rebuild), so Stats and
+	// WALStats read it to know the accumulators already hold this unit.
+	// retired cannot stand in: it is set before the drain, while the
+	// pool still counts.
+	folded bool
 	// killed releases this generation's Wedge tasks. A wedged "thread"
 	// is reclaimed only when its unit is torn down — closing this
 	// channel in retire is the in-process analog of the OS killing a
@@ -547,8 +555,9 @@ func (s *Shard) WALStats() wal.Stats {
 	s.mu.Lock()
 	st := s.walRetired
 	u := s.cur.Load()
+	folded := u.folded
 	s.mu.Unlock()
-	if u.wal != nil {
+	if u.wal != nil && !folded {
 		st.Add(u.wal.Stats())
 	}
 	return st
@@ -603,9 +612,14 @@ func (s *Shard) Snapshot(merged *[preemptible.NumClasses]*stats.Histogram) (
 func (s *Shard) Stats() preemptible.PoolStats {
 	s.mu.Lock()
 	retired := s.retired
-	pool := s.cur.Load().pool
+	u := s.cur.Load()
+	folded := u.folded
 	s.mu.Unlock()
-	live := pool.Stats()
+	live := u.pool.Stats()
+	if folded {
+		// retired already holds this pool's counters; keep its latency.
+		live = preemptible.PoolStats{QuantumNow: live.QuantumNow, Mean: live.Mean, P50: live.P50, P99: live.P99}
+	}
 	addPoolStats(&live, retired)
 	return live
 }
@@ -876,6 +890,7 @@ func (s *Shard) retire(ctx context.Context) {
 	s.mu.Lock()
 	addPoolStats(&s.retired, u.pool.Stats())
 	s.walRetired.Add(wst)
+	u.folded = true
 	s.mu.Unlock()
 }
 
