@@ -11,88 +11,88 @@ import (
 	"repro/internal/workload"
 )
 
-// colocCfg drives one colocation run: a MICA LC job (98% of requests)
-// sharing a worker core with a zlib BE job (2%), per §V-C.
-type colocCfg struct {
-	qps     float64         // constant arrival rate (used when rateFn nil)
-	rateFn  workload.RateFn // bursty arrival rate (Fig. 14)
-	maxRate float64         // bound for rateFn thinning
-	quantum sim.Time        // 0 = non-preemptive baseline (LC-Base)
-	dynamic *adaptive.QPSInterval
-	monitor sim.Time // dynamic-policy monitor period
-	dur     sim.Time
-	seed    uint64
-	onDone  func(r *sched.Request)
+// Colocation describes one colocation run: a MICA LC job sharing worker
+// cores with a zlib BE job, per §V-C. It is the one colocation model:
+// Fig. 13, Fig. 14 and preemptsim.SimulateColocation all run it.
+type Colocation struct {
+	Workers    int             // worker cores (default 1, the paper's setup)
+	BEFraction float64         // BE share of arrivals (default 0.02, the paper's 98/2 mix)
+	QPS        float64         // constant arrival rate (used when RateFn nil)
+	RateFn     workload.RateFn // bursty arrival rate (Fig. 14)
+	MaxRate    float64         // bound for RateFn thinning
+	Quantum    sim.Time        // 0 = non-preemptive baseline (LC-Base)
+	Dynamic    *adaptive.QPSInterval
+	Monitor    sim.Time // dynamic-policy monitor period
+	Dur        sim.Time
+	Seed       uint64
+	OnDone     func(r *sched.Request)
 }
 
-const beFraction = 0.02
-
-func runColocation(c colocCfg) *core.System {
+// Start builds the system and schedules its first arrival; the caller
+// runs the engine to Dur (Run does), after adding any events of its own.
+func (c Colocation) Start() *core.System {
+	if c.Workers == 0 {
+		c.Workers = 1
+	}
+	if c.BEFraction == 0 {
+		c.BEFraction = 0.02
+	}
 	mech := core.MechUINTR
-	if c.quantum == 0 && c.dynamic == nil {
+	if c.Quantum == 0 && c.Dynamic == nil {
 		mech = core.MechNone
 	}
 	s := core.New(core.Config{
-		Workers:    1,
-		Quantum:    c.quantum,
+		Workers:    c.Workers,
+		Quantum:    c.Quantum,
 		Policy:     sched.NewFCFSPreempt(),
 		Mech:       mech,
-		Seed:       c.seed,
-		OnComplete: c.onDone,
+		Seed:       c.Seed,
+		OnComplete: c.OnDone,
 	})
-	if c.dynamic != nil {
-		adaptive.AttachQPS(s, *c.dynamic, c.monitor)
+	if c.Dynamic != nil {
+		adaptive.AttachQPS(s, *c.Dynamic, c.Monitor)
 	}
 
-	lcGen := mica.NewGenerator(mica.DefaultWorkloadConfig(), sim.NewRNG(c.seed+1))
-	beGen := bejob.NewGenerator(bejob.DefaultConfig(), sim.NewRNG(c.seed+2))
-	rng := sim.NewRNG(c.seed + 3)
+	lcGen := mica.NewGenerator(mica.DefaultWorkloadConfig(), sim.NewRNG(c.Seed+1))
+	beGen := bejob.NewGenerator(bejob.DefaultConfig(), sim.NewRNG(c.Seed+2))
+	rng := sim.NewRNG(c.Seed + 3)
 
-	submit := func(now sim.Time) {
-		if rng.Bernoulli(beFraction) {
-			s.Submit(beGen.NextRequest(now))
-		} else {
-			s.Submit(lcGen.NextRequest(now))
+	// Arrivals are Poisson at QPS, or — with a RateFn — Poisson at
+	// MaxRate thinned down to the rate of the moment.
+	rate := c.QPS
+	if c.RateFn != nil {
+		rate = c.MaxRate
+	}
+	var loop func()
+	loop = func() {
+		gap := sim.Time(rng.Exp(float64(sim.Second) / rate))
+		if gap < 1 {
+			gap = 1
 		}
-	}
-
-	if c.rateFn == nil {
-		var loop func()
-		loop = func() {
-			gap := sim.Time(rng.Exp(float64(sim.Second) / c.qps))
-			if gap < 1 {
-				gap = 1
+		s.Eng.Schedule(gap, func() {
+			now := s.Eng.Now()
+			if now >= c.Dur {
+				return
 			}
-			s.Eng.Schedule(gap, func() {
-				if s.Eng.Now() >= c.dur {
-					return
+			if c.RateFn == nil || rng.Float64() < c.RateFn(now)/c.MaxRate {
+				if rng.Bernoulli(c.BEFraction) {
+					s.Submit(beGen.NextRequest(now))
+				} else {
+					s.Submit(lcGen.NextRequest(now))
 				}
-				submit(s.Eng.Now())
-				loop()
-			})
-		}
-		loop()
-	} else {
-		var loop func()
-		loop = func() {
-			gap := sim.Time(rng.Exp(float64(sim.Second) / c.maxRate))
-			if gap < 1 {
-				gap = 1
 			}
-			s.Eng.Schedule(gap, func() {
-				now := s.Eng.Now()
-				if now >= c.dur {
-					return
-				}
-				if rng.Float64() < c.rateFn(now)/c.maxRate {
-					submit(now)
-				}
-				loop()
-			})
-		}
-		loop()
+			loop()
+		})
 	}
-	s.Eng.Run(c.dur)
+	loop()
+	return s
+}
+
+// Run runs the colocation to completion and returns the system for its
+// metrics.
+func (c Colocation) Run() *core.System {
+	s := c.Start()
+	s.Eng.Run(c.Dur)
 	s.Eng.RunAll()
 	return s
 }
@@ -109,8 +109,8 @@ func Fig13(o Options) []*stats.Table {
 	}
 	loads := scale(o, []float64{40000, 55000, 70000, 85000}, []float64{55000})
 	for li, qps := range loads {
-		base := runColocation(colocCfg{qps: qps, quantum: 0, dur: dur, seed: o.seed() + uint64(li)})
-		lib := runColocation(colocCfg{qps: qps, quantum: 30 * sim.Microsecond, dur: dur, seed: o.seed() + uint64(li)})
+		base := Colocation{QPS: qps, Quantum: 0, Dur: dur, Seed: o.seed() + uint64(li)}.Run()
+		lib := Colocation{QPS: qps, Quantum: 30 * sim.Microsecond, Dur: dur, Seed: o.seed() + uint64(li)}.Run()
 		bp, lp := base.Metrics.LatencyLC.P99(), lib.Metrics.LatencyLC.P99()
 		left.AddRow(qps/1000, "LC-Base", us(bp), us(base.Metrics.LatencyBE.P99()), 1.0)
 		imp := 0.0
@@ -128,7 +128,7 @@ func Fig13(o Options) []*stats.Table {
 		Title:   "Fig 13 (right): quantum sweep at 55 kRPS",
 		Columns: []string{"quantum_us", "lc_p99_us", "be_mean_us", "be_p99_us", "be_penalty_vs_nopreempt"},
 	}
-	base := runColocation(colocCfg{qps: 55000, quantum: 0, dur: dur, seed: o.seed() + 50})
+	base := Colocation{QPS: 55000, Quantum: 0, Dur: dur, Seed: o.seed() + 50}.Run()
 	beBase := base.Metrics.LatencyBE.Mean()
 	right.AddRow("none", us(base.Metrics.LatencyLC.P99()), beBase/1000,
 		us(base.Metrics.LatencyBE.P99()), 1.0)
@@ -136,7 +136,7 @@ func Fig13(o Options) []*stats.Table {
 		[]sim.Time{5 * sim.Microsecond, 10 * sim.Microsecond, 20 * sim.Microsecond, 30 * sim.Microsecond, 50 * sim.Microsecond},
 		[]sim.Time{5 * sim.Microsecond, 30 * sim.Microsecond})
 	for _, q := range quanta {
-		s := runColocation(colocCfg{qps: 55000, quantum: q, dur: dur, seed: o.seed() + 50})
+		s := Colocation{QPS: 55000, Quantum: q, Dur: dur, Seed: o.seed() + 50}.Run()
 		beMean := s.Metrics.LatencyBE.Mean()
 		pen := 0.0
 		if beBase > 0 {
@@ -196,15 +196,15 @@ func Fig14(o Options) []*stats.Table {
 		var totLcN, totBeN uint64
 		arrivalsInWindow := uint64(0)
 
-		cfg := colocCfg{
-			rateFn:  rate,
-			maxRate: 110000,
-			quantum: p.quantum,
-			dynamic: p.dyn,
-			monitor: window,
-			dur:     dur,
-			seed:    o.seed() + uint64(pi*7),
-			onDone: func(r *sched.Request) {
+		s := Colocation{
+			RateFn:  rate,
+			MaxRate: 110000,
+			Quantum: p.quantum,
+			Dynamic: p.dyn,
+			Monitor: window,
+			Dur:     dur,
+			Seed:    o.seed() + uint64(pi*7),
+			OnDone: func(r *sched.Request) {
 				arrivalsInWindow++
 				lat := r.Latency()
 				if r.Class == sched.ClassLC {
@@ -223,43 +223,9 @@ func Fig14(o Options) []*stats.Table {
 					totBeN++
 				}
 			},
-		}
+		}.Start()
 
-		// Build the system manually so the window sampler can hook in.
-		mech := core.MechUINTR
-		s := core.New(core.Config{
-			Workers: 1, Quantum: cfg.quantum, Policy: sched.NewFCFSPreempt(),
-			Mech: mech, Seed: cfg.seed, OnComplete: cfg.onDone,
-		})
-		if cfg.dynamic != nil {
-			adaptive.AttachQPS(s, *cfg.dynamic, cfg.monitor)
-		}
-		lcGen := mica.NewGenerator(mica.DefaultWorkloadConfig(), sim.NewRNG(cfg.seed+1))
-		beGen := bejob.NewGenerator(bejob.DefaultConfig(), sim.NewRNG(cfg.seed+2))
-		rng := sim.NewRNG(cfg.seed + 3)
-		var loop func()
-		loop = func() {
-			gap := sim.Time(rng.Exp(float64(sim.Second) / cfg.maxRate))
-			if gap < 1 {
-				gap = 1
-			}
-			s.Eng.Schedule(gap, func() {
-				now := s.Eng.Now()
-				if now >= dur {
-					return
-				}
-				if rng.Float64() < cfg.rateFn(now)/cfg.maxRate {
-					if rng.Bernoulli(beFraction) {
-						s.Submit(beGen.NextRequest(now))
-					} else {
-						s.Submit(lcGen.NextRequest(now))
-					}
-				}
-				loop()
-			})
-		}
-		loop()
-
+		// The window sampler rides on the same engine.
 		name := p.name
 		var tick func()
 		tick = func() {

@@ -184,12 +184,6 @@ type Config struct {
 	// BreakerDisabled to admit every class regardless of failures.
 	Breaker         breaker.Config
 	BreakerDisabled bool
-	// PanicInject, when non-nil, is consulted once per admitted request
-	// (after every admission gate, before the pool submit); true
-	// replaces the request's task body with one that panics mid-run.
-	// This is the chaos hook fault-containment tests use to poison live
-	// traffic deterministically (see chaos.PanicInjector).
-	PanicInject func(class preemptible.Class) bool
 
 	// Supervise parameterizes the shard supervisor: heartbeat health
 	// checks that detect a wedged shard, drain it, rebuild it from a
@@ -296,7 +290,6 @@ func New(rt *preemptible.Runtime, cfg Config) *Server {
 			BrownoutDelayTarget: cfg.BrownoutDelayTarget,
 			Breaker:             cfg.Breaker,
 			BreakerDisabled:     cfg.BreakerDisabled,
-			PanicInject:         cfg.PanicInject,
 			WALDir:              cfg.WALDir,
 			WALSync:             cfg.WALSync,
 			SnapshotEvery:       cfg.SnapshotEvery,

@@ -333,18 +333,39 @@ func TestShardKillStormContainment(t *testing.T) {
 			HeartbeatTimeout:  10 * time.Millisecond,
 			MissThreshold:     2,
 			RestartDrain:      100 * time.Millisecond,
-			KillInject:        sk.Step,
 		},
 	})
 	g := s.Group()
 
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+
+	// The storm: at the heartbeat's cadence, step every healthy shard's
+	// kill chain and wedge the ones it condemns.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			for i := 0; i < shards; i++ {
+				if g.Shard(i).Health() == shard.Healthy && sk.Step(i) {
+					g.KillShard(i)
+				}
+			}
+		}
+	}()
+
 	// Continuous keyed LC traffic on the siblings, raw (no testClient:
 	// t.Fatal must not fire off the test goroutine).
-	stop := make(chan struct{})
 	var mu sync.Mutex
 	var sibErrs []string
 	var sibOps int
-	var wg sync.WaitGroup
 	for _, sib := range []int{0, 2} {
 		key := keysOn(t, g, sib, 1)[0]
 		wg.Add(1)

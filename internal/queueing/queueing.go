@@ -2,8 +2,9 @@
 // validate the simulator: if the discrete-event machinery is correct,
 // a LibPreemptible system with preemption disabled must reproduce
 // M/M/c (Erlang-C) and M/G/1 (Pollaczek–Khinchine) sojourn times, and a
-// processor-sharing configuration must approach M/M/1-PS. The
-// validation tests in this package are the strongest correctness
+// processor-sharing configuration must approach M/M/1-PS. The tests
+// that make the comparison live with the engine they check, in
+// internal/core/validation_test.go; they are the strongest correctness
 // evidence the reproduction has: they tie the simulation to ground
 // truth that does not depend on any calibration constant.
 package queueing

@@ -8,19 +8,9 @@
 // the latency distribution at increasing QPS with and without
 // preemption reproduces Fig. 10's finding: ~1.2% tail-latency overhead
 // near 89% load, growing sublinearly with load.
-//
-// With BreakerEnabled the server mirrors the live server's per-class
-// circuit breakers in sim time (internal/breaker takes explicit
-// clocks, so the engine's clock drives OpenTimeout deterministically):
-// a Fail hook marks completions as failures, an open breaker
-// fast-rejects the class at Submit (RejectedUnavailable), and drops
-// (shed/expired/evicted/cancelled) abandon their breaker claims.
 package rpcserver
 
 import (
-	"time"
-
-	"repro/internal/breaker"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/sched"
@@ -66,30 +56,6 @@ type Config struct {
 	ServiceMean sim.Time
 	// Seed fixes the run.
 	Seed uint64
-
-	// MaxBacklog bounds the accept backlog (0 = unbounded, the
-	// historical behavior). When all pool slots are busy and the
-	// backlog is full, new submissions are shed at arrival instead of
-	// queuing without bound.
-	MaxBacklog int
-	// QueueTimeout sheds backlogged requests whose wait has exceeded
-	// it when a slot frees up (0 = none): the fast-reject path for
-	// work that is already too stale to meet any SLO.
-	QueueTimeout sim.Time
-
-	// BreakerEnabled turns on per-class circuit breakers: the sim
-	// mirror of the live server's fault containment, driven entirely
-	// by sim time so sweeps stay deterministic. Off by default — the
-	// historical server has no breaker.
-	BreakerEnabled bool
-	// Breaker parameterizes the per-class breakers when enabled; the
-	// zero value takes the package defaults. OpenTimeout and Window
-	// are interpreted in sim time (1ns of either is 1ns of sim time).
-	Breaker breaker.Config
-	// Fail marks a completed request as a failure for breaker
-	// accounting — the sim analog of a contained panic. Evaluated at
-	// completion; nil means every completion is a success.
-	Fail func(r *sched.Request) bool
 }
 
 // spedEventCost is the extra per-request event-loop work of the SPED
@@ -104,49 +70,10 @@ type Server struct {
 	inFlight int
 	backlog  []*sched.Request
 	backHead int
-	// backLive counts backlog entries that are still live (not
-	// cancel/evict tombstones): the MaxBacklog bound applies to live
-	// waiters, so displacing a BE genuinely frees room for an LC.
-	backLive int
-	beClosed bool
-	// breakers holds one circuit breaker per class when
-	// BreakerEnabled; nil entries mean no breaker for that class.
-	breakers [2]*breaker.Breaker
 
 	// Admitted counts requests that entered the pool; Backlogged counts
 	// requests that had to wait for a slot.
 	Admitted, Backlogged uint64
-	// Shed counts requests rejected at arrival by the MaxBacklog
-	// bound; Expired counts backlogged requests dropped because their
-	// wait exceeded QueueTimeout. Both are deterministic for a fixed
-	// seed and load.
-	Shed, Expired uint64
-	// DeadlineExpired counts, per class, backlogged requests dropped at
-	// admission because their absolute deadline (Request.Deadline, the
-	// sim mirror of the live wire's D token) had passed in engine time —
-	// doomed work shed before it occupies a slot. Distinct from Expired,
-	// which is the server-side QueueTimeout staleness bound.
-	DeadlineExpired [2]uint64
-	// Cancelled counts backlogged requests evicted by Cancel before a
-	// slot ever admitted them (the RPC analog of a client hanging up
-	// while still queued).
-	Cancelled uint64
-	// Evicted counts, per class, backlogged requests dropped by
-	// class-aware shedding: EvictClass sweeps (the sim mirror of a
-	// brownout transition) and BE displaced to make room for LC.
-	Evicted [2]uint64
-	// RejectedBE counts BE requests refused at Submit while the BE
-	// admission gate is closed (SetBEAdmission) — the sim mirror of the
-	// live server's "ERR brownout" fast-reject.
-	RejectedBE uint64
-	// RejectedUnavailable counts, per class, requests refused at
-	// Submit by an open circuit breaker — the sim mirror of the live
-	// server's "ERR unavailable". Distinct from Shed (load) and
-	// RejectedBE (brownout): this is fault isolation, not overload.
-	RejectedUnavailable [2]uint64
-	// Failed counts, per class, completed requests the Fail hook
-	// marked as failures.
-	Failed [2]uint64
 }
 
 // New builds a server. Quantum 0 gives the no-preemption baseline.
@@ -161,11 +88,6 @@ func New(cfg Config) *Server {
 		panic("rpcserver: need positive service mean")
 	}
 	s := &Server{cfg: cfg, slots: cfg.KernelThreads * cfg.UserThreadsPerKT}
-	if cfg.BreakerEnabled {
-		for c := range s.breakers {
-			s.breakers[c] = breaker.New(cfg.Breaker)
-		}
-	}
 	mech := core.MechNone
 	if cfg.Quantum > 0 {
 		mech = core.MechUINTR
@@ -182,9 +104,8 @@ func New(cfg Config) *Server {
 		Mech:    mech,
 		Costs:   &costs,
 		Seed:    cfg.Seed ^ 0x727063737276,
-		OnComplete: func(r *sched.Request) {
+		OnComplete: func(*sched.Request) {
 			s.inFlight--
-			s.settle(r)
 			s.admit()
 		},
 	})
@@ -197,133 +118,11 @@ func (s *Server) System() *core.System { return s.sys }
 // Engine exposes the simulation engine.
 func (s *Server) Engine() *sim.Engine { return s.sys.Eng }
 
-// Submit delivers one RPC to the server. With MaxBacklog set, an
-// arrival that finds every slot busy and the backlog full is shed
-// immediately — overload produces explicit rejections, not an
-// unbounded queue. Class-aware degradation hooks in twice: a closed BE
-// gate (SetBEAdmission) refuses BE at arrival, and an LC arrival that
-// finds the backlog full displaces the oldest waiting BE instead of
-// being shed — queued LC survives overload at BE's expense. With
-// BreakerEnabled, an open per-class breaker fast-rejects the class
-// before any queueing (counted in RejectedUnavailable).
+// Submit delivers one RPC to the server: it runs at once if a pool
+// slot is free and waits in the accept backlog otherwise.
 func (s *Server) Submit(r *sched.Request) {
-	if s.beClosed && r.Class == sched.ClassBE {
-		s.RejectedBE++
-		return
-	}
-	br := s.breakers[r.Class]
-	if br != nil && !br.Allow(s.simNow()) {
-		s.RejectedUnavailable[r.Class]++
-		return
-	}
-	if s.cfg.MaxBacklog > 0 && s.inFlight >= s.slots && s.backLive >= s.cfg.MaxBacklog {
-		if r.Class != sched.ClassLC || !s.evictOneBE() {
-			// Allowed but never ran: return any claimed probe slot —
-			// shedding is a load signal, not evidence of fault.
-			s.abandon(r.Class)
-			s.Shed++
-			return
-		}
-	}
 	s.backlog = append(s.backlog, r)
-	s.backLive++
 	s.admit()
-}
-
-// simNow maps the engine's sim clock onto the breaker's time.Time
-// axis (1ns of sim time per wall ns since the zero epoch), keeping
-// breaker timeouts deterministic under sim-time sweeps.
-func (s *Server) simNow() time.Time {
-	return time.Unix(0, int64(s.sys.Eng.Now()))
-}
-
-// settle reports a completed request's outcome to its class breaker:
-// the Fail hook decides failure (the sim analog of a contained panic).
-func (s *Server) settle(r *sched.Request) {
-	failed := s.cfg.Fail != nil && s.cfg.Fail(r)
-	if failed {
-		s.Failed[r.Class]++
-	}
-	if br := s.breakers[r.Class]; br != nil {
-		if failed {
-			br.Failure(s.simNow())
-		} else {
-			br.Success(s.simNow())
-		}
-	}
-}
-
-// abandon returns a breaker claim without an outcome (shed, expired,
-// evicted, cancelled): drops say nothing about handler health.
-func (s *Server) abandon(class int) {
-	if br := s.breakers[class]; br != nil {
-		br.Abandon(s.simNow())
-	}
-}
-
-// Breaker exposes the class's circuit breaker (nil unless
-// BreakerEnabled) for sweeps and tests.
-func (s *Server) Breaker(class int) *breaker.Breaker { return s.breakers[class] }
-
-// SetBEAdmission opens or closes the BE admission gate. While closed,
-// BE submissions are refused at arrival (counted in RejectedBE); LC is
-// untouched. Already-backlogged BE is not affected — sweep it with
-// EvictClass.
-func (s *Server) SetBEAdmission(admit bool) { s.beClosed = !admit }
-
-// EvictClass drops every backlogged request of the class (lazy
-// tombstones, counted in Evicted) — the sim mirror of the live pool's
-// brownout eviction. Admitted requests are not touched. Returns how
-// many requests were evicted.
-func (s *Server) EvictClass(class int) int {
-	n := 0
-	for i := s.backHead; i < len(s.backlog); i++ {
-		if r := s.backlog[i]; r != nil && !r.Cancelled && !r.Evicted && r.Class == class {
-			r.Evicted = true
-			s.Evicted[class]++
-			s.backLive--
-			s.abandon(class)
-			n++
-		}
-	}
-	return n
-}
-
-// evictOneBE tombstones the oldest live backlogged BE request, making
-// room for an LC arrival. Reports whether one was found.
-func (s *Server) evictOneBE() bool {
-	for i := s.backHead; i < len(s.backlog); i++ {
-		if r := s.backlog[i]; r != nil && !r.Cancelled && !r.Evicted && r.Class == sched.ClassBE {
-			r.Evicted = true
-			s.Evicted[sched.ClassBE]++
-			s.backLive--
-			s.abandon(sched.ClassBE)
-			return true
-		}
-	}
-	return false
-}
-
-// Cancel evicts a still-backlogged request: the RPC-side disconnect
-// hook. The entry is lazily deleted — marked Cancelled in place and
-// skipped by the next admit pass, so the backlog ring's compaction
-// arithmetic is untouched. Returns true if the request was waiting and
-// is now evicted (counted in Cancelled), false if it was never here or
-// a slot already admitted it.
-func (s *Server) Cancel(r *sched.Request) bool {
-	for i := s.backHead; i < len(s.backlog); i++ {
-		if s.backlog[i] == r {
-			if r.Cancelled || r.Evicted {
-				return false // already tombstoned
-			}
-			r.Cancelled = true
-			s.Cancelled++
-			s.backLive--
-			s.abandon(r.Class)
-			return true
-		}
-	}
-	return false
 }
 
 func (s *Server) admit() {
@@ -334,28 +133,6 @@ func (s *Server) admit() {
 		if s.backHead > 256 && s.backHead*2 >= len(s.backlog) {
 			s.backlog = append([]*sched.Request(nil), s.backlog[s.backHead:]...)
 			s.backHead = 0
-		}
-		// Cancel/evict tombstone: already counted when it was dropped.
-		if r.Cancelled || r.Evicted {
-			continue
-		}
-		s.backLive--
-		// End-to-end deadline expiry: a request whose caller-supplied
-		// absolute deadline passed while it waited is doomed — drop it
-		// at the pop, before it occupies a slot, exactly like the live
-		// pool's dequeue-time expiry.
-		if r.Deadline > 0 && s.sys.Eng.Now() > r.Deadline {
-			s.DeadlineExpired[r.Class]++
-			s.abandon(r.Class)
-			continue
-		}
-		// Queue-timeout shedding: a request that has already waited
-		// past its deadline is dropped at the last responsible moment
-		// instead of occupying a slot.
-		if s.cfg.QueueTimeout > 0 && s.sys.Eng.Now()-r.Arrival > s.cfg.QueueTimeout {
-			s.Expired++
-			s.abandon(r.Class)
-			continue
 		}
 		s.inFlight++
 		s.Admitted++

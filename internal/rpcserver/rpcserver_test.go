@@ -149,212 +149,3 @@ func TestModelString(t *testing.T) {
 		t.Fatal("model names broken")
 	}
 }
-
-func runOverloaded(cfg Config) (shed, expired, completed uint64) {
-	s := New(cfg)
-	// 2× overload so the backlog grows without bound unless shed.
-	res := s.RunLoad(2*float64(cfg.KernelThreads)/cfg.ServiceMean.Seconds(),
-		50*sim.Millisecond, 77)
-	return s.Shed, s.Expired, res.Completed
-}
-
-func TestMaxBacklogShedsUnderOverload(t *testing.T) {
-	cfg := Config{KernelThreads: 2, UserThreadsPerKT: 2,
-		ServiceMean: 50 * sim.Microsecond, Seed: 30, MaxBacklog: 16}
-	shed, _, completed := runOverloaded(cfg)
-	if shed == 0 {
-		t.Fatal("2x overload with a 16-deep backlog never shed")
-	}
-	if completed == 0 {
-		t.Fatal("shedding server completed nothing")
-	}
-	// Determinism: the same seed reproduces the shed count exactly.
-	shed2, _, completed2 := runOverloaded(cfg)
-	if shed != shed2 || completed != completed2 {
-		t.Fatalf("not deterministic: shed %d vs %d, completed %d vs %d",
-			shed, shed2, completed, completed2)
-	}
-	// Unbounded baseline sheds nothing.
-	cfg.MaxBacklog = 0
-	if shed0, _, _ := runOverloaded(cfg); shed0 != 0 {
-		t.Fatalf("unbounded backlog shed %d", shed0)
-	}
-}
-
-func TestQueueTimeoutExpiresStaleRequests(t *testing.T) {
-	cfg := Config{KernelThreads: 2, UserThreadsPerKT: 2,
-		ServiceMean: 50 * sim.Microsecond, Seed: 31,
-		QueueTimeout: 200 * sim.Microsecond}
-	_, expired, completed := runOverloaded(cfg)
-	if expired == 0 {
-		t.Fatal("2x overload with a 200us queue timeout expired nothing")
-	}
-	if completed == 0 {
-		t.Fatal("expiring server completed nothing")
-	}
-	_, expired2, completed2 := runOverloaded(cfg)
-	if expired != expired2 || completed != completed2 {
-		t.Fatalf("not deterministic: expired %d vs %d, completed %d vs %d",
-			expired, expired2, completed, completed2)
-	}
-}
-
-func TestCancelEvictsBacklogged(t *testing.T) {
-	// One slot: the first request admits immediately, later ones wait
-	// in the backlog. Cancelling a backlogged request evicts it — it
-	// never admits, never runs — while cancelling an admitted request
-	// is refused (it already holds a slot).
-	s := New(Config{KernelThreads: 1, UserThreadsPerKT: 1,
-		ServiceMean: 50 * sim.Microsecond, Seed: 9})
-
-	running := sched.NewRequest(1, sched.ClassLC, 0, 50*sim.Microsecond)
-	waiting := sched.NewRequest(2, sched.ClassLC, 0, 50*sim.Microsecond)
-	third := sched.NewRequest(3, sched.ClassLC, 0, 50*sim.Microsecond)
-	s.Submit(running)
-	s.Submit(waiting)
-	s.Submit(third)
-	if s.Admitted != 1 {
-		t.Fatalf("admitted %d with one slot", s.Admitted)
-	}
-
-	if s.Cancel(running) {
-		t.Fatal("Cancel of an admitted request returned true")
-	}
-	if !s.Cancel(waiting) {
-		t.Fatal("Cancel of a backlogged request returned false")
-	}
-	if s.Cancel(waiting) {
-		t.Fatal("double Cancel returned true")
-	}
-	if s.Cancelled != 1 {
-		t.Fatalf("Cancelled = %d, want 1", s.Cancelled)
-	}
-
-	s.Engine().RunAll()
-	// The evicted request never ran; the other two completed.
-	if waiting.Done() {
-		t.Fatal("cancelled request completed")
-	}
-	if s.Admitted != 2 {
-		t.Fatalf("admitted %d, want 2 (the eviction freed no extra work)", s.Admitted)
-	}
-	if got := s.System().Metrics.Completed; got != 2 {
-		t.Fatalf("completed %d, want 2", got)
-	}
-	if s.Cancel(sched.NewRequest(4, sched.ClassLC, 0, sim.Microsecond)) {
-		t.Fatal("Cancel of a never-submitted request returned true")
-	}
-	// Conservation: every submission is admitted or cancelled.
-	if s.Admitted+s.Cancelled != 3 {
-		t.Fatalf("conservation broken: admitted=%d cancelled=%d", s.Admitted, s.Cancelled)
-	}
-}
-
-func TestSetBEAdmissionGate(t *testing.T) {
-	s := New(Config{KernelThreads: 2, UserThreadsPerKT: 2,
-		ServiceMean: 50 * sim.Microsecond, Seed: 40})
-	s.SetBEAdmission(false)
-	s.Submit(sched.NewRequest(1, sched.ClassBE, 0, 50*sim.Microsecond))
-	s.Submit(sched.NewRequest(2, sched.ClassLC, 0, 50*sim.Microsecond))
-	if s.RejectedBE != 1 {
-		t.Fatalf("RejectedBE = %d, want 1", s.RejectedBE)
-	}
-	if s.Admitted != 1 {
-		t.Fatalf("admitted %d, want 1 (the LC request)", s.Admitted)
-	}
-	s.SetBEAdmission(true)
-	s.Submit(sched.NewRequest(3, sched.ClassBE, 0, 50*sim.Microsecond))
-	if s.Admitted != 2 || s.RejectedBE != 1 {
-		t.Fatalf("reopened gate: admitted=%d rejectedBE=%d", s.Admitted, s.RejectedBE)
-	}
-	s.Engine().RunAll()
-}
-
-func TestLCDisplacesBEWhenBacklogFull(t *testing.T) {
-	// One slot, two backlog seats, both held by BE: each arriving LC
-	// displaces the oldest waiting BE; once only LC waits, further LC is
-	// shed like before.
-	s := New(Config{KernelThreads: 1, UserThreadsPerKT: 1,
-		ServiceMean: 50 * sim.Microsecond, Seed: 41, MaxBacklog: 2})
-	hold := sched.NewRequest(1, sched.ClassLC, 0, 50*sim.Microsecond)
-	be1 := sched.NewRequest(2, sched.ClassBE, 0, 50*sim.Microsecond)
-	be2 := sched.NewRequest(3, sched.ClassBE, 0, 50*sim.Microsecond)
-	s.Submit(hold) // occupies the slot
-	s.Submit(be1)
-	s.Submit(be2)
-
-	lc1 := sched.NewRequest(4, sched.ClassLC, 0, 50*sim.Microsecond)
-	lc2 := sched.NewRequest(5, sched.ClassLC, 0, 50*sim.Microsecond)
-	lc3 := sched.NewRequest(6, sched.ClassLC, 0, 50*sim.Microsecond)
-	s.Submit(lc1)
-	if !be1.Evicted || be2.Evicted {
-		t.Fatalf("first LC should displace the oldest BE: be1=%v be2=%v", be1.Evicted, be2.Evicted)
-	}
-	s.Submit(lc2)
-	if !be2.Evicted {
-		t.Fatal("second LC did not displace the remaining BE")
-	}
-	s.Submit(lc3) // backlog now all-LC and full: shed
-	if s.Shed != 1 {
-		t.Fatalf("Shed = %d, want 1 (no BE left to displace)", s.Shed)
-	}
-	if s.Evicted[sched.ClassBE] != 2 || s.Evicted[sched.ClassLC] != 0 {
-		t.Fatalf("Evicted = %v, want [0 2]", s.Evicted)
-	}
-
-	// A displaced BE cannot be cancelled (it is already gone).
-	if s.Cancel(be1) {
-		t.Fatal("Cancel of a displaced BE returned true")
-	}
-	s.Engine().RunAll()
-	if be1.Done() || be2.Done() {
-		t.Fatal("displaced BE ran anyway")
-	}
-	if !lc1.Done() || !lc2.Done() {
-		t.Fatal("surviving LC did not complete")
-	}
-	// Conservation: every submission is admitted, shed, or evicted.
-	if got := s.Admitted + s.Shed + s.Evicted[sched.ClassBE]; got != 6 {
-		t.Fatalf("conservation broken: admitted=%d shed=%d evicted=%v", s.Admitted, s.Shed, s.Evicted)
-	}
-}
-
-func TestEvictClassSweepsBacklog(t *testing.T) {
-	// The sim mirror of a brownout transition: one sweep drops every
-	// backlogged BE, waiting LC is untouched and still completes.
-	s := New(Config{KernelThreads: 1, UserThreadsPerKT: 1,
-		ServiceMean: 50 * sim.Microsecond, Seed: 42})
-	s.Submit(sched.NewRequest(1, sched.ClassLC, 0, 50*sim.Microsecond)) // holds the slot
-	var bes, lcs []*sched.Request
-	for i := 0; i < 3; i++ {
-		be := sched.NewRequest(uint64(10+i), sched.ClassBE, 0, 50*sim.Microsecond)
-		lc := sched.NewRequest(uint64(20+i), sched.ClassLC, 0, 50*sim.Microsecond)
-		bes = append(bes, be)
-		lcs = append(lcs, lc)
-		s.Submit(be)
-		s.Submit(lc)
-	}
-	if n := s.EvictClass(sched.ClassBE); n != 3 {
-		t.Fatalf("EvictClass evicted %d, want 3", n)
-	}
-	if s.EvictClass(sched.ClassBE) != 0 {
-		t.Fatal("second sweep found BE to evict")
-	}
-	if s.Evicted[sched.ClassBE] != 3 {
-		t.Fatalf("Evicted = %v, want [0 3]", s.Evicted)
-	}
-	s.Engine().RunAll()
-	for _, be := range bes {
-		if be.Done() {
-			t.Fatal("evicted BE ran")
-		}
-	}
-	for _, lc := range lcs {
-		if !lc.Done() {
-			t.Fatal("queued LC did not survive the BE sweep")
-		}
-	}
-	if s.Admitted != 4 {
-		t.Fatalf("admitted %d, want 4 (1 holder + 3 LC)", s.Admitted)
-	}
-}

@@ -42,10 +42,6 @@ type Request struct {
 	// Cancelled marks a request dropped by deadline cancellation
 	// (§III-B) instead of completing.
 	Cancelled bool
-	// Evicted marks a request dropped from a backlog by class-aware
-	// shedding (brownout eviction or LC displacement) before it ever
-	// ran — a server-initiated drop, distinct from Cancelled.
-	Evicted bool
 	// Ctx is the user-level context attached while the request is
 	// in-flight.
 	Ctx *fcontext.Context

@@ -35,10 +35,6 @@ type SuperviseConfig struct {
 	// RestartWindow is the sliding window the budget counts in
 	// (default 10s).
 	RestartWindow time.Duration
-	// KillInject, when non-nil, is the chaos hook: consulted once per
-	// healthy shard per heartbeat tick; true wedges that shard (see
-	// chaos.ShardKill).
-	KillInject func(shard int) bool
 }
 
 func (c SuperviseConfig) withDefaults() SuperviseConfig {
@@ -150,10 +146,9 @@ func (g *Group) Restarts(i int) uint64 { return g.restarts[i].Load() }
 // heartbeats and drains it. Detection, not this call, changes health.
 func (g *Group) KillShard(i int) { g.shards[i].Wedge() }
 
-// supervise is the heartbeat loop: every tick it (optionally) consults
-// the chaos kill hook, probes every healthy shard in parallel, and
-// sends shards that miss MissThreshold consecutive probes through the
-// restart path.
+// supervise is the heartbeat loop: every tick it probes every healthy
+// shard in parallel and sends shards that miss MissThreshold
+// consecutive probes through the restart path.
 func (g *Group) supervise() {
 	defer g.loopWG.Done()
 	tick := time.NewTicker(g.scfg.HeartbeatInterval)
@@ -164,13 +159,6 @@ func (g *Group) supervise() {
 		case <-g.done:
 			return
 		case <-tick.C:
-		}
-		if kill := g.scfg.KillInject; kill != nil {
-			for i, s := range g.shards {
-				if s.Health() == Healthy && kill(i) {
-					s.Wedge()
-				}
-			}
 		}
 		ok := make([]bool, len(g.shards))
 		var wg sync.WaitGroup

@@ -107,10 +107,6 @@ type Config struct {
 	Breaker         breaker.Config
 	BreakerDisabled bool
 
-	// PanicInject, when non-nil, poisons an admitted request's task with
-	// a mid-run panic (the chaos hook; see chaos.PanicInjector).
-	PanicInject func(class preemptible.Class) bool
-
 	// WALDir, when non-empty, enables per-shard durability: shard i
 	// logs acknowledged SETs to WALDir/shard-<i>, and a supervised
 	// rebuild recovers the partition from snapshot+log instead of
@@ -729,12 +725,6 @@ func (s *Shard) Do(class preemptible.Class, task preemptible.Task, opts DoOption
 		s.inflight.Add(-1)
 		c.unavailable.Add(1)
 		return Result{Unavailable, st}
-	}
-	if s.cfg.PanicInject != nil && s.cfg.PanicInject(class) {
-		task = func(ctx *preemptible.Ctx) {
-			ctx.Checkpoint() // pass one safepoint so the poison fires mid-run
-			panic("chaos: injected panic")
-		}
 	}
 	// The pool's synchronous entry: submit, wait for the task to settle,
 	// and — when the client disconnects first (Gone) — evict or unwind

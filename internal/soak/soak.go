@@ -170,7 +170,7 @@ const (
 // BuildPlan renders cfg's fault schedule. Wire fault windows come from
 // a Gilbert–Elliott burst schedule (faults armed during bad windows);
 // kills from one independent per-shard kill chain stepped at a fixed
-// tick, exactly as the supervisor-integrated ShardKill would step it.
+// tick.
 func BuildPlan(cfg Config) Plan {
 	cfg = cfg.withDefaults()
 	p := Plan{
@@ -308,12 +308,13 @@ func Run(cfg Config) (*Report, error) {
 	}
 	defer rt.Close()
 
-	var panicHook func(preemptible.Class) bool
+	// The poison walker's schedule: nil (poisons nothing) unless the
+	// scenario wants panics. Workers step it once per op.
+	var poison *chaos.PanicInjector
 	if cfg.wantPanics() {
-		pi := chaos.NewPanicInjector(chaos.PanicConfig{
+		poison = chaos.NewPanicInjector(chaos.PanicConfig{
 			Seed: chaos.ChildSeed(cfg.Seed, panicSeedChild), Prob: 0.002,
 		})
-		panicHook = func(preemptible.Class) bool { return pi.Should() }
 	}
 	srv := liveserver.New(rt, liveserver.Config{
 		Shards:       cfg.Shards,
@@ -321,7 +322,6 @@ func Run(cfg Config) (*Report, error) {
 		Quantum:      500 * time.Microsecond,
 		IdleTimeout:  2 * time.Second,
 		WriteTimeout: 2 * time.Second,
-		PanicInject:  panicHook,
 		Supervise: shard.SuperviseConfig{
 			HeartbeatInterval: 25 * time.Millisecond,
 			MissThreshold:     2,
@@ -490,6 +490,22 @@ func Run(cfg Config) (*Report, error) {
 				default:
 					op = "COMPRESS 2"
 				}
+				// Poison walker: on a hit, a panicking task of this op's
+				// class goes to this op's shard through the same admission
+				// path the op itself is about to take.
+				if poison.Should() {
+					g := srv.Group()
+					class, sh := preemptible.ClassLC, w%g.N() // keyless ops run anywhere
+					switch {
+					case op == "COMPRESS 2":
+						class = preemptible.ClassBE
+					case keys != nil:
+						sh = g.Route([]byte(keys[0]))
+					case k != "":
+						sh = g.Route([]byte(k))
+					}
+					g.Do(sh, class, poisonTask, shard.DoOptions{})
+				}
 				res, err := tc.Do(op)
 				if err != nil {
 					return // client closed
@@ -533,6 +549,10 @@ func Run(cfg Config) (*Report, error) {
 	if wln != nil {
 		wireFaults = wln.Counters().Total()
 	}
+	var failed uint64 // what the poison walker's tasks settled as
+	for _, c := range srv.MetricsV2().Totals {
+		failed += c.Failed
+	}
 
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	if err := srv.Shutdown(sctx); err != nil {
@@ -554,14 +574,21 @@ func Run(cfg Config) (*Report, error) {
 	if list != nil {
 		rep.Violations = list
 	}
-	logf("done: ops=%v wire-faults=%d restarts=%d samples=%d violations=%d",
-		ops, wireFaults, restarts, rep.Samples, total)
+	logf("done: ops=%v wire-faults=%d restarts=%d failed=%d samples=%d violations=%d",
+		ops, wireFaults, restarts, failed, rep.Samples, total)
 	if cfg.ReportPath != "" {
 		if err := appendReport(cfg.ReportPath, rep); err != nil {
 			return rep, err
 		}
 	}
 	return rep, nil
+}
+
+// poisonTask is the body the poison walker submits: it panics mid-run,
+// after one safepoint, the way a genuinely buggy handler would.
+func poisonTask(ctx *preemptible.Ctx) {
+	ctx.Checkpoint()
+	panic("chaos: injected panic")
 }
 
 // appendReport appends one JSON line to path (creating it if needed).

@@ -88,14 +88,6 @@ func (p *Pool) SubmitClass(class Class, task Task, done func(latency time.Durati
 	return p.SubmitWithOptions(task, SubmitOptions{Class: class}, done)
 }
 
-// SubmitClassTimeout is SubmitTimeout with an explicit service class.
-func (p *Pool) SubmitClassTimeout(class Class, task Task, timeout time.Duration, done func(latency time.Duration)) (*TaskHandle, error) {
-	if timeout <= 0 {
-		panic("preemptible: non-positive timeout")
-	}
-	return p.SubmitWithOptions(task, SubmitOptions{Class: class, PickupTimeout: timeout}, done)
-}
-
 // SetClassAdmission opens or closes a class's admission gate. While
 // closed, SubmitClass refuses the class's tasks at the door (counted
 // in ClassStats.Rejected) — the pool-level half of a brownout: callers

@@ -5,10 +5,7 @@ import (
 	"time"
 
 	"repro/internal/adaptive"
-	"repro/internal/bejob"
-	"repro/internal/core"
-	"repro/internal/mica"
-	"repro/internal/sched"
+	"repro/internal/experiments"
 	"repro/internal/sim"
 )
 
@@ -57,72 +54,33 @@ func SimulateColocation(cfg ColocationConfig, duration time.Duration) (Colocatio
 	if duration <= 0 {
 		return ColocationResult{}, errors.New("preemptsim: duration must be positive")
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	beFrac := cfg.BEFraction
-	if beFrac == 0 {
-		beFrac = 0.02
-	}
-	if beFrac < 0 || beFrac >= 1 {
+	if cfg.BEFraction < 0 || cfg.BEFraction >= 1 {
 		return ColocationResult{}, errors.New("preemptsim: BEFraction must be in [0, 1)")
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+	c := experiments.Colocation{
+		Workers:    cfg.Workers,
+		BEFraction: cfg.BEFraction,
+		QPS:        cfg.QPS,
+		Quantum:    sim.Time(cfg.Quantum),
+		Dur:        sim.Time(duration),
+		Seed:       cfg.Seed,
 	}
-	dur := sim.Time(duration)
-
-	mech := core.MechUINTR
-	if cfg.Quantum == 0 && cfg.Dynamic == nil {
-		mech = core.MechNone
+	if c.Seed == 0 {
+		c.Seed = 1
 	}
-	s := core.New(core.Config{
-		Workers: workers,
-		Quantum: sim.Time(cfg.Quantum),
-		Policy:  sched.NewFCFSPreempt(),
-		Mech:    mech,
-		Seed:    seed,
-	})
 	if d := cfg.Dynamic; d != nil {
-		period := sim.Time(d.MonitorPeriod)
-		if period == 0 {
-			period = dur / 50
-		}
-		adaptive.AttachQPS(s, adaptive.QPSInterval{
+		c.Dynamic = &adaptive.QPSInterval{
 			MinInterval: sim.Time(d.MinInterval),
 			MaxInterval: sim.Time(d.MaxInterval),
 			LowQPS:      d.LowQPS,
 			HighQPS:     d.HighQPS,
-		}, period)
-	}
-
-	lcGen := mica.NewGenerator(mica.DefaultWorkloadConfig(), sim.NewRNG(seed+1))
-	beGen := bejob.NewGenerator(bejob.DefaultConfig(), sim.NewRNG(seed+2))
-	rng := sim.NewRNG(seed + 3)
-	var loop func()
-	loop = func() {
-		gap := sim.Time(rng.Exp(float64(sim.Second) / cfg.QPS))
-		if gap < 1 {
-			gap = 1
 		}
-		s.Eng.Schedule(gap, func() {
-			now := s.Eng.Now()
-			if now >= dur {
-				return
-			}
-			if rng.Bernoulli(beFrac) {
-				s.Submit(beGen.NextRequest(now))
-			} else {
-				s.Submit(lcGen.NextRequest(now))
-			}
-			loop()
-		})
+		c.Monitor = sim.Time(d.MonitorPeriod)
+		if c.Monitor == 0 {
+			c.Monitor = c.Dur / 50
+		}
 	}
-	loop()
-	s.Eng.Run(dur)
-	s.Eng.RunAll()
+	s := c.Run()
 
 	return ColocationResult{
 		LCCompleted: s.Metrics.LatencyLC.Count(),
