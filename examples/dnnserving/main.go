@@ -70,11 +70,11 @@ func serve(rt *preemptible.Runtime, tiny, big *dnnserve.Model, quantum time.Dura
 	// Background inferences keep the pool busy.
 	for i := 0; i < bgCount; i++ {
 		wg.Add(1)
-		pool.Submit(func(ctx *preemptible.Ctx) {
+		pool.SubmitWithOptions(func(ctx *preemptible.Ctx) {
 			if _, err := big.Infer(ctx, bgIn); err != nil {
 				log.Fatal(err)
 			}
-		}, func(time.Duration) {
+		}, preemptible.SubmitOptions{}, func(time.Duration) {
 			mu.Lock()
 			bgDone++
 			mu.Unlock()
@@ -84,11 +84,11 @@ func serve(rt *preemptible.Runtime, tiny, big *dnnserve.Model, quantum time.Dura
 	// Latency-critical inferences trickle in.
 	for i := 0; i < lcCount; i++ {
 		wg.Add(1)
-		pool.Submit(func(ctx *preemptible.Ctx) {
+		pool.SubmitWithOptions(func(ctx *preemptible.Ctx) {
 			if _, err := tiny.Infer(ctx, lcIn); err != nil {
 				log.Fatal(err)
 			}
-		}, func(lat time.Duration) {
+		}, preemptible.SubmitOptions{}, func(lat time.Duration) {
 			mu.Lock()
 			lcLats = append(lcLats, lat)
 			mu.Unlock()

@@ -70,13 +70,14 @@ func run(rt *preemptible.Runtime, d preemptible.Discipline) (hit, total int64) {
 		// A bulky task lands ahead of every 10 urgent ones.
 		if i%10 == 0 && i/10 < bulkyCount {
 			wg.Add(1)
-			pool.SubmitDeadline(func(ctx *preemptible.Ctx) { spin(ctx, bulkyWork) },
-				time.Now().Add(10*time.Second), func(time.Duration) { wg.Done() })
+			pool.SubmitWithOptions(func(ctx *preemptible.Ctx) { spin(ctx, bulkyWork) },
+				preemptible.SubmitOptions{Deadline: time.Now().Add(10 * time.Second)},
+				func(time.Duration) { wg.Done() })
 		}
 		wg.Add(1)
 		deadline := time.Now().Add(urgentSLO)
-		pool.SubmitDeadline(func(ctx *preemptible.Ctx) { spin(ctx, urgentWork) },
-			deadline, func(lat time.Duration) {
+		pool.SubmitWithOptions(func(ctx *preemptible.Ctx) { spin(ctx, urgentWork) },
+			preemptible.SubmitOptions{Deadline: deadline}, func(lat time.Duration) {
 				if time.Now().Before(deadline) {
 					hits.Add(1)
 				}

@@ -80,7 +80,7 @@ func run(rt *preemptible.Runtime, quantum time.Duration) (lcP99 time.Duration, b
 	for i := 0; i < totalOps; i++ {
 		wg.Add(1)
 		if i%beEvery == 0 {
-			pool.Submit(func(ctx *preemptible.Ctx) {
+			pool.SubmitWithOptions(func(ctx *preemptible.Ctx) {
 				// Compress several blocks in fine slices so the task has
 				// frequent safepoints.
 				for rep := 0; rep < 4; rep++ {
@@ -95,19 +95,19 @@ func run(rt *preemptible.Runtime, quantum time.Duration) (lcP99 time.Duration, b
 						ctx.Checkpoint()
 					}
 				}
-			}, func(time.Duration) { wg.Done() })
+			}, preemptible.SubmitOptions{}, func(time.Duration) { wg.Done() })
 			continue
 		}
 		rank := zipf.Sample(rng)
 		isSet := rng.Bernoulli(0.05)
-		pool.Submit(func(ctx *preemptible.Ctx) {
+		pool.SubmitWithOptions(func(ctx *preemptible.Ctx) {
 			key := mica.KeyForRank(rank)
 			if isSet {
 				store.Set(key, val)
 			} else {
 				store.Get(key)
 			}
-		}, func(lat time.Duration) {
+		}, preemptible.SubmitOptions{}, func(lat time.Duration) {
 			mu.Lock()
 			lcLats = append(lcLats, lat)
 			mu.Unlock()

@@ -190,8 +190,8 @@ func TestBrownoutRegressionMatrix(t *testing.T) {
 	beMu.Unlock()
 
 	// --- Matrix row 4: exact per-class work conservation. Every request
-	// the pool accepted is accounted for: Submitted = Completed +
-	// Rejected + Shed + Cancelled, per class, with nothing in flight.
+	// the pool accepted is accounted for: Submitted = Completed + Shed +
+	// Failed + Cancelled + Expired, per class, with nothing in flight.
 	waitDrained(t, s, 2*time.Second)
 	st := s.PoolStats()
 	for c := 0; c < preemptible.NumClasses; c++ {
@@ -201,8 +201,8 @@ func TestBrownoutRegressionMatrix(t *testing.T) {
 				preemptible.Class(c), cs.Settled(), cs.Submitted, cs)
 		}
 	}
-	if lcStats := st.PerClass[preemptible.ClassLC]; lcStats.Shed != 0 || lcStats.Rejected != 0 {
-		t.Errorf("LC work was shed/rejected inside the pool: %+v", lcStats)
+	if lcStats := st.PerClass[preemptible.ClassLC]; lcStats.Shed != 0 {
+		t.Errorf("LC work was shed inside the pool: %+v", lcStats)
 	}
 
 	// --- Matrix row 5: clean exit, no flapping. The controller returns

@@ -419,7 +419,8 @@ func TestShutdownDeadlineCancelsStragglers(t *testing.T) {
 		}
 	}
 	// Post-shutdown submissions are refused, not crashed.
-	if _, err := s.group.Shard(0).Pool().SubmitClass(preemptible.ClassLC, func(*preemptible.Ctx) {}, nil); !errors.Is(err, preemptible.ErrClosed) {
+	if _, err := s.group.Shard(0).Pool().SubmitWithOptions(func(*preemptible.Ctx) {},
+		preemptible.SubmitOptions{Class: preemptible.ClassLC}, nil); !errors.Is(err, preemptible.ErrClosed) {
 		t.Fatalf("submit after shutdown: %v, want ErrClosed", err)
 	}
 }

@@ -627,7 +627,6 @@ func addPoolStats(dst *preemptible.PoolStats, src preemptible.PoolStats) {
 	dst.Completed += src.Completed
 	dst.Preemptions += src.Preemptions
 	dst.Failed += src.Failed
-	dst.Rejected += src.Rejected
 	dst.Shed += src.Shed
 	dst.CancelledQueued += src.CancelledQueued
 	dst.CancelledExecuting += src.CancelledExecuting
@@ -638,7 +637,6 @@ func addPoolStats(dst *preemptible.PoolStats, src preemptible.PoolStats) {
 		d, sc := &dst.PerClass[c], src.PerClass[c]
 		d.Submitted += sc.Submitted
 		d.Completed += sc.Completed
-		d.Rejected += sc.Rejected
 		d.Shed += sc.Shed
 		d.CancelledQueued += sc.CancelledQueued
 		d.CancelledExecuting += sc.CancelledExecuting

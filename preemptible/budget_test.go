@@ -61,7 +61,7 @@ func TestArrivalsFirstWithoutYield(t *testing.T) {
 			var order atomic.Int64 // completion sequence
 			var beDone, lcDone, beSliceAtLC int64
 			finished := make(chan struct{}, 2)
-			if _, err := p.SubmitClass(ClassBE, func(ctx *Ctx) {
+			if _, err := p.SubmitWithOptions(func(ctx *Ctx) {
 				for i := 0; i < slices; i++ {
 					if slice.Add(1) == 3 {
 						close(begun)
@@ -70,11 +70,11 @@ func TestArrivalsFirstWithoutYield(t *testing.T) {
 					}
 					ctx.Yield() // preempted here, resumed from the preempted list
 				}
-			}, func(time.Duration) { beDone = order.Add(1); finished <- struct{}{} }); err != nil {
+			}, SubmitOptions{Class: ClassBE}, func(time.Duration) { beDone = order.Add(1); finished <- struct{}{} }); err != nil {
 				t.Fatal(err)
 			}
 			<-begun
-			if _, err := p.SubmitClass(ClassLC, func(*Ctx) { beSliceAtLC = slice.Load() },
+			if _, err := p.SubmitWithOptions(func(*Ctx) { beSliceAtLC = slice.Load() }, SubmitOptions{Class: ClassLC},
 				func(time.Duration) { lcDone = order.Add(1); finished <- struct{}{} }); err != nil {
 				t.Fatal(err)
 			}
@@ -103,8 +103,8 @@ func TestWinLatsStaysEmptyWithoutController(t *testing.T) {
 	const tasks = 100000
 	task := func(*Ctx) {}
 	for i := 0; i < tasks; i++ {
-		if lat, err := p.SubmitWait(task); err != nil || lat < 0 {
-			t.Fatalf("SubmitWait: lat=%v err=%v", lat, err)
+		if lat, _, err := p.SubmitWaitWithOptions(task, SubmitOptions{}, nil); err != nil || lat < 0 {
+			t.Fatalf("SubmitWaitWithOptions: lat=%v err=%v", lat, err)
 		}
 	}
 	if st := p.Stats(); st.Completed != tasks {
@@ -134,9 +134,9 @@ func TestWinLatsFeedsController(t *testing.T) {
 	const tasks = 50
 	var lats []time.Duration
 	for i := 0; i < tasks; i++ {
-		lat, err := p.SubmitWait(func(*Ctx) {})
+		lat, _, err := p.SubmitWaitWithOptions(func(*Ctx) {}, SubmitOptions{}, nil)
 		if err != nil || lat < 0 {
-			t.Fatalf("SubmitWait: lat=%v err=%v", lat, err)
+			t.Fatalf("SubmitWaitWithOptions: lat=%v err=%v", lat, err)
 		}
 		lats = append(lats, lat)
 	}

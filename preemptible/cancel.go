@@ -22,15 +22,13 @@ var ErrExpired = errors.New("preemptible: task deadline expired")
 // task did not complete. Any negative latency means "not executed to
 // completion"; the exact value says why.
 const (
-	// ShedLatency reports a task dropped because its pickup deadline
-	// (SubmitTimeout) passed before a worker reached it.
+	// ShedLatency reports a task dropped without executing: its pickup
+	// deadline (SubmitOptions.PickupTimeout) passed before a worker
+	// reached it, or EvictClass evicted it.
 	ShedLatency = -1 * time.Nanosecond
 	// CancelledLatency reports a task killed by TaskHandle.Cancel:
 	// evicted from the queue, or unwound at its next safepoint.
 	CancelledLatency = -2 * time.Nanosecond
-	// RejectedLatency reports a task refused at SubmitClass because its
-	// class's admission gate was closed; it never queued.
-	RejectedLatency = -3 * time.Nanosecond
 	// FailedLatency reports a task that panicked mid-execution; the
 	// panic was contained by the runtime (TaskHandle.Err carries the
 	// captured TaskError) and the worker that ran it is unharmed.
@@ -49,25 +47,23 @@ const (
 type TaskState int32
 
 const (
-	// TaskQueued: waiting in the arrival queue or EDF heap, never run.
+	// TaskQueued: waiting in the pool's dispatch order, never run.
 	TaskQueued TaskState = iota
 	// TaskRunning: a worker is executing the task right now.
 	TaskRunning
 	// TaskPreempted: the task ran, was preempted at a safepoint, and
-	// waits in the preempted list / EDF heap for a worker.
+	// waits in the pool's dispatch order for a worker.
 	TaskPreempted
 	// TaskCompleted: the task finished normally.
 	TaskCompleted
-	// TaskShed: the pickup deadline passed; the task never executed.
+	// TaskShed: the pickup deadline passed or EvictClass evicted the
+	// task; it never executed.
 	TaskShed
 	// TaskCancelledQueued: Cancel evicted the task before it ever ran.
 	TaskCancelledQueued
 	// TaskCancelledExecuting: Cancel unwound the task at a safepoint
 	// after it had started executing.
 	TaskCancelledExecuting
-	// TaskRejected: the class admission gate refused the submission; the
-	// task never queued.
-	TaskRejected
 	// TaskFailed: the task panicked while executing; the runtime
 	// contained the fault and recorded it (TaskHandle.Err).
 	TaskFailed
@@ -95,8 +91,6 @@ func (s TaskState) String() string {
 		return "cancelled-queued"
 	case TaskCancelledExecuting:
 		return "cancelled-executing"
-	case TaskRejected:
-		return "rejected"
 	case TaskFailed:
 		return "failed"
 	case TaskExpiredQueued:
@@ -170,7 +164,7 @@ func (st *taskState) settle(lat time.Duration) {
 
 // TaskHandle identifies one submission for cancellation and outcome
 // inspection. The zero value is invalid; handles come from
-// Submit/SubmitDeadline/SubmitTimeout.
+// SubmitWithOptions.
 type TaskHandle struct {
 	p  *Pool
 	st *taskState
@@ -255,7 +249,5 @@ func (p *Pool) cancel(st *taskState) bool {
 func (p *Pool) evictQueuedLocked(st *taskState) {
 	st.status = TaskCancelledQueued
 	st.cancelReq.Store(1)
-	p.cancelledQueued++
 	p.perClass[st.class].CancelledQueued++
-	p.tombstones++
 }

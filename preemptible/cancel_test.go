@@ -1,12 +1,8 @@
 package preemptible
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/stats"
 )
 
 func TestCancelQueuedEvicts(t *testing.T) {
@@ -18,15 +14,15 @@ func TestCancelQueuedEvicts(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	p.Submit(func(ctx *Ctx) {
+	p.SubmitWithOptions(func(ctx *Ctx) {
 		close(started)
 		<-release
-	}, nil)
+	}, SubmitOptions{}, nil)
 	<-started // the single worker is now occupied
 
 	executed := false
 	ch := make(chan time.Duration, 1)
-	h, _ := p.Submit(func(ctx *Ctx) { executed = true }, func(l time.Duration) { ch <- l })
+	h, _ := p.SubmitWithOptions(func(ctx *Ctx) { executed = true }, SubmitOptions{}, func(l time.Duration) { ch <- l })
 	if got := h.State(); got != TaskQueued {
 		t.Fatalf("state before cancel: %v", got)
 	}
@@ -75,14 +71,14 @@ func TestCancelExecutingUnwindsAtSafepoint(t *testing.T) {
 	started := make(chan struct{})
 	var deferRan bool
 	ch := make(chan time.Duration, 1)
-	h, _ := p.Submit(func(ctx *Ctx) {
+	h, _ := p.SubmitWithOptions(func(ctx *Ctx) {
 		defer func() { deferRan = true }()
 		close(started)
 		for {
 			ctx.Checkpoint()
 			time.Sleep(50 * time.Microsecond)
 		}
-	}, func(l time.Duration) { ch <- l })
+	}, SubmitOptions{}, func(l time.Duration) { ch <- l })
 	<-started
 
 	if !h.Cancel() {
@@ -115,7 +111,7 @@ func TestCancelPreemptedInQueue(t *testing.T) {
 	started := make(chan struct{})
 	segments := 0
 	ch := make(chan time.Duration, 1)
-	h, _ := p.Submit(func(ctx *Ctx) {
+	h, _ := p.SubmitWithOptions(func(ctx *Ctx) {
 		close(started)
 		for {
 			segments++
@@ -124,7 +120,7 @@ func TestCancelPreemptedInQueue(t *testing.T) {
 			}
 			ctx.Checkpoint() // quantum (100µs) already expired: preempts here
 		}
-	}, func(l time.Duration) { ch <- l })
+	}, SubmitOptions{}, func(l time.Duration) { ch <- l })
 	<-started
 
 	// Queue a wedge arrival while the spinner runs: arrivals-first FIFO
@@ -132,7 +128,7 @@ func TestCancelPreemptedInQueue(t *testing.T) {
 	// preemption, parking the spinner stably in the preempted list.
 	release := make(chan struct{})
 	wstart := make(chan struct{})
-	p.Submit(func(ctx *Ctx) { close(wstart); <-release }, nil)
+	p.SubmitWithOptions(func(ctx *Ctx) { close(wstart); <-release }, SubmitOptions{}, nil)
 	<-wstart
 	waitUntil(t, 2*time.Second, func() bool { return h.State() == TaskPreempted },
 		"task to be preempted into the queue")
@@ -165,11 +161,11 @@ func TestCancelRunningWithoutSafepointsCompletes(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	ch := make(chan time.Duration, 1)
-	h, _ := p.Submit(func(ctx *Ctx) {
+	h, _ := p.SubmitWithOptions(func(ctx *Ctx) {
 		close(started)
 		<-release
 		// no Checkpoint between here and return
-	}, func(l time.Duration) { ch <- l })
+	}, SubmitOptions{}, func(l time.Duration) { ch <- l })
 	<-started
 
 	if !h.Cancel() {
@@ -193,7 +189,7 @@ func TestCancelCompletedReturnsFalse(t *testing.T) {
 	rt := newRT(t)
 	p := NewPool(rt, PoolConfig{Workers: 1})
 	ch := make(chan time.Duration, 1)
-	h, _ := p.Submit(func(ctx *Ctx) {}, func(l time.Duration) { ch <- l })
+	h, _ := p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, func(l time.Duration) { ch <- l })
 	<-ch
 	waitUntil(t, 2*time.Second, func() bool { return h.State() == TaskCompleted },
 		"task to settle")
@@ -214,13 +210,13 @@ func TestCancelObservableViaCtxPolling(t *testing.T) {
 	started := make(chan struct{})
 	sawCancel := make(chan bool, 1)
 	ch := make(chan time.Duration, 1)
-	h, _ := p.Submit(func(ctx *Ctx) {
+	h, _ := p.SubmitWithOptions(func(ctx *Ctx) {
 		close(started)
 		for !ctx.Cancelled() {
 			time.Sleep(50 * time.Microsecond)
 		}
 		sawCancel <- true
-	}, func(l time.Duration) { ch <- l })
+	}, SubmitOptions{}, func(l time.Duration) { ch <- l })
 	<-started
 	h.Cancel()
 	if !<-sawCancel {
@@ -233,184 +229,4 @@ func TestCancelObservableViaCtxPolling(t *testing.T) {
 		t.Fatalf("state: %v", got)
 	}
 	p.Close()
-}
-
-// edfModelEntry mirrors one live heap item for the property test.
-type edfModelEntry struct {
-	st       *taskState
-	deadline time.Time
-	seq      uint64
-}
-
-// edfLess replicates edfQueue.Less on model entries.
-func edfLess(a, b edfModelEntry) bool {
-	switch {
-	case a.deadline.IsZero() && b.deadline.IsZero():
-		return a.seq < b.seq
-	case a.deadline.IsZero():
-		return false
-	case b.deadline.IsZero():
-		return true
-	case !a.deadline.Equal(b.deadline):
-		return a.deadline.Before(b.deadline)
-	default:
-		return a.seq < b.seq
-	}
-}
-
-func TestEDFCancelProperty(t *testing.T) {
-	// Property test of the EDF heap under mixed Submit/Cancel/pop
-	// interleavings, against a flat-slice model: pops come out in
-	// deadline order among live items, cancelled items never
-	// resurrect, and stats account for every submission exactly once.
-	// Workerless pool: pushes and pops are driven by the test itself.
-	base := time.Now()
-	for _, seed := range []int64{1, 7, 42, 1337, 99991} {
-		rng := rand.New(rand.NewSource(seed))
-		p := &Pool{
-			quantum:    DefaultQuantum,
-			discipline: EDF,
-			hist:       stats.NewHistogram(),
-			ctlStop:    make(chan struct{}),
-		}
-		p.cond = sync.NewCond(&p.mu)
-
-		var (
-			live      []edfModelEntry // queued, not cancelled, not popped
-			cancelled = make(map[*taskState]bool)
-			handles   []*TaskHandle
-			doneCalls = make(map[*taskState]int)
-			popped    int
-			cancels   int
-			submits   int
-		)
-		noop := func(ctx *Ctx) {}
-
-		popOne := func() {
-			p.mu.Lock()
-			it := p.popEDFLocked()
-			if it != nil {
-				// Mirror next(): the pop and the Running transition are
-				// one critical section.
-				it.st.status = TaskRunning
-			}
-			p.mu.Unlock()
-			if len(live) == 0 {
-				if it != nil {
-					t.Fatalf("seed %d: pop returned an item with no live work", seed)
-				}
-				return
-			}
-			if it == nil {
-				t.Fatalf("seed %d: pop returned nil with %d live items", seed, len(live))
-			}
-			if cancelled[it.st] {
-				t.Fatalf("seed %d: cancelled item resurrected by pop", seed)
-			}
-			// The popped item must be the EDF-minimum of the model.
-			min := 0
-			for i := 1; i < len(live); i++ {
-				if edfLess(live[i], live[min]) {
-					min = i
-				}
-			}
-			if live[min].st != it.st {
-				t.Fatalf("seed %d: pop violated deadline order (got seq %d, want seq %d)",
-					seed, it.seq, live[min].seq)
-			}
-			live = append(live[:min], live[min+1:]...)
-			popped++
-		}
-
-		const ops = 3000
-		for i := 0; i < ops; i++ {
-			switch r := rng.Intn(10); {
-			case r < 5: // submit
-				var dl time.Time
-				if rng.Intn(4) != 0 { // 1 in 4 deadline-free
-					dl = base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
-				}
-				h, _ := p.SubmitDeadline(noop, dl, nil)
-				h.st.done = func(st *taskState) func(time.Duration) {
-					return func(l time.Duration) {
-						if l != CancelledLatency {
-							t.Errorf("seed %d: done saw %v, want CancelledLatency", seed, l)
-						}
-						doneCalls[st]++
-					}
-				}(h.st)
-				handles = append(handles, h)
-				p.mu.Lock()
-				seq := p.seq
-				p.mu.Unlock()
-				live = append(live, edfModelEntry{st: h.st, deadline: dl, seq: seq})
-				submits++
-			case r < 8: // cancel a random queued item (or a dead one)
-				if len(live) > 0 && rng.Intn(5) != 0 {
-					i := rng.Intn(len(live))
-					e := live[i]
-					hh := &TaskHandle{p: p, st: e.st}
-					if !hh.Cancel() {
-						t.Fatalf("seed %d: Cancel of a live queued item returned false", seed)
-					}
-					if doneCalls[e.st] != 1 {
-						t.Fatalf("seed %d: done fired %d times on eviction", seed, doneCalls[e.st])
-					}
-					cancelled[e.st] = true
-					live = append(live[:i], live[i+1:]...)
-					cancels++
-				} else if len(handles) > 0 {
-					// Cancel something already cancelled or popped: must
-					// be rejected and must not double-fire done.
-					h := handles[rng.Intn(len(handles))]
-					if st := h.State(); st == TaskCancelledQueued || st == TaskRunning {
-						before := doneCalls[h.st]
-						if st == TaskCancelledQueued && h.Cancel() {
-							t.Fatalf("seed %d: double Cancel returned true", seed)
-						}
-						if doneCalls[h.st] != before {
-							t.Fatalf("seed %d: done re-fired on double cancel", seed)
-						}
-					}
-				}
-			default: // pop
-				popOne()
-			}
-		}
-		// Drain: every remaining live item must pop, in order, and the
-		// heap must end empty with zero outstanding tombstones.
-		for len(live) > 0 {
-			popOne()
-		}
-		// A final pop sweeps any remaining tombstones and must find no
-		// live work.
-		p.mu.Lock()
-		if it := p.popEDFLocked(); it != nil {
-			p.mu.Unlock()
-			t.Fatalf("seed %d: drained heap still popped an item", seed)
-		}
-		if p.tombstones != 0 || len(p.edf) != 0 {
-			tombs, left := p.tombstones, len(p.edf)
-			p.mu.Unlock()
-			t.Fatalf("seed %d: after full drain: %d tombstones, %d heap entries", seed, tombs, left)
-		}
-		p.mu.Unlock()
-
-		st := p.Stats()
-		if st.Submitted != uint64(submits) || st.CancelledQueued != uint64(cancels) {
-			t.Fatalf("seed %d: stats %+v, want submitted=%d cancelledQueued=%d",
-				seed, st, submits, cancels)
-		}
-		if int(st.Submitted) != popped+cancels {
-			t.Fatalf("seed %d: conservation broken: submitted=%d popped=%d cancelled=%d",
-				seed, st.Submitted, popped, cancels)
-		}
-		totalDone := 0
-		for _, n := range doneCalls {
-			totalDone += n
-		}
-		if totalDone != cancels {
-			t.Fatalf("seed %d: done fired %d times for %d cancels", seed, totalDone, cancels)
-		}
-	}
 }

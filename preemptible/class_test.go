@@ -2,13 +2,12 @@ package preemptible
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestSubmitClassPerClassStats: completions land in the right class
-// bucket and the class-unaware API stays ClassLC.
+// bucket and the zero SubmitOptions submits ClassLC.
 func TestSubmitClassPerClassStats(t *testing.T) {
 	rt := newRT(t)
 	p := NewPool(rt, PoolConfig{Workers: 2})
@@ -17,11 +16,11 @@ func TestSubmitClassPerClassStats(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 5; i++ {
 		wg.Add(1)
-		p.SubmitClass(ClassBE, func(ctx *Ctx) {}, func(time.Duration) { wg.Done() })
+		p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{Class: ClassBE}, func(time.Duration) { wg.Done() })
 	}
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		p.Submit(func(ctx *Ctx) {}, func(time.Duration) { wg.Done() })
+		p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, func(time.Duration) { wg.Done() })
 	}
 	wg.Wait()
 	st := p.Stats()
@@ -36,45 +35,6 @@ func TestSubmitClassPerClassStats(t *testing.T) {
 	}
 }
 
-// TestClassAdmissionGate: a closed gate refuses BE at the door with
-// RejectedLatency while LC flows; reopening restores BE.
-func TestClassAdmissionGate(t *testing.T) {
-	rt := newRT(t)
-	p := NewPool(rt, PoolConfig{Workers: 1})
-	defer p.Close()
-
-	p.SetClassAdmission(ClassBE, false)
-	var lat atomic.Int64
-	done := make(chan struct{})
-	h, _ := p.SubmitClass(ClassBE, func(ctx *Ctx) { t.Error("rejected task ran") },
-		func(l time.Duration) { lat.Store(int64(l)); close(done) })
-	<-done
-	if time.Duration(lat.Load()) != RejectedLatency {
-		t.Fatalf("rejected BE latency %v, want RejectedLatency", time.Duration(lat.Load()))
-	}
-	if got := h.State(); got != TaskRejected {
-		t.Fatalf("rejected BE state %v", got)
-	}
-	if h.Cancel() {
-		t.Fatal("Cancel accepted on a rejected task")
-	}
-	if got, _ := p.SubmitWait(func(ctx *Ctx) {}); got < 0 {
-		t.Fatalf("LC refused while BE gate closed: %v", got)
-	}
-
-	p.SetClassAdmission(ClassBE, true)
-	ch := make(chan time.Duration, 1)
-	p.SubmitClass(ClassBE, func(ctx *Ctx) {}, func(l time.Duration) { ch <- l })
-	if got := <-ch; got < 0 {
-		t.Fatalf("BE refused after gate reopened: %v", got)
-	}
-
-	st := p.Stats()
-	if st.PerClass[ClassBE].Rejected != 1 || st.Rejected != 1 {
-		t.Fatalf("rejected counters: %+v", st)
-	}
-}
-
 // TestEvictClassFIFO: with the single worker wedged, queued BE is
 // evicted (ShedLatency, TaskShed) while queued LC survives and runs.
 func TestEvictClassFIFO(t *testing.T) {
@@ -84,7 +44,7 @@ func TestEvictClassFIFO(t *testing.T) {
 
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	p.Submit(func(ctx *Ctx) { close(started); <-gate }, nil)
+	p.SubmitWithOptions(func(ctx *Ctx) { close(started); <-gate }, SubmitOptions{}, nil)
 	<-started
 
 	const nBE, nLC = 4, 3
@@ -92,11 +52,11 @@ func TestEvictClassFIFO(t *testing.T) {
 	lcCh := make(chan time.Duration, nLC)
 	var beHandles []*TaskHandle
 	for i := 0; i < nBE; i++ {
-		h, _ := p.SubmitClass(ClassBE, func(ctx *Ctx) {}, func(l time.Duration) { beCh <- l })
+		h, _ := p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{Class: ClassBE}, func(l time.Duration) { beCh <- l })
 		beHandles = append(beHandles, h)
 	}
 	for i := 0; i < nLC; i++ {
-		p.SubmitClass(ClassLC, func(ctx *Ctx) {}, func(l time.Duration) { lcCh <- l })
+		p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{Class: ClassLC}, func(l time.Duration) { lcCh <- l })
 	}
 
 	if n := p.EvictClass(ClassBE); n != nBE {
@@ -141,7 +101,7 @@ func TestEvictClassEDF(t *testing.T) {
 
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	p.Submit(func(ctx *Ctx) { close(started); <-gate }, nil)
+	p.SubmitWithOptions(func(ctx *Ctx) { close(started); <-gate }, SubmitOptions{}, nil)
 	<-started
 
 	now := time.Now()
@@ -156,10 +116,14 @@ func TestEvictClassEDF(t *testing.T) {
 			orderMu.Unlock()
 		}
 	}
-	p.SubmitClassDeadline(ClassBE, mk(100), now.Add(time.Millisecond), func(l time.Duration) { beCh <- l })
-	p.SubmitClassDeadline(ClassLC, mk(2), now.Add(20*time.Millisecond), func(time.Duration) { lcDone <- struct{}{} })
-	p.SubmitClassDeadline(ClassBE, mk(101), now.Add(2*time.Millisecond), func(l time.Duration) { beCh <- l })
-	p.SubmitClassDeadline(ClassLC, mk(1), now.Add(10*time.Millisecond), func(time.Duration) { lcDone <- struct{}{} })
+	p.SubmitWithOptions(mk(100), SubmitOptions{Class: ClassBE, Deadline: now.Add(time.Millisecond)},
+		func(l time.Duration) { beCh <- l })
+	p.SubmitWithOptions(mk(2), SubmitOptions{Class: ClassLC, Deadline: now.Add(20 * time.Millisecond)},
+		func(time.Duration) { lcDone <- struct{}{} })
+	p.SubmitWithOptions(mk(101), SubmitOptions{Class: ClassBE, Deadline: now.Add(2 * time.Millisecond)},
+		func(l time.Duration) { beCh <- l })
+	p.SubmitWithOptions(mk(1), SubmitOptions{Class: ClassLC, Deadline: now.Add(10 * time.Millisecond)},
+		func(time.Duration) { lcDone <- struct{}{} })
 
 	if n := p.EvictClass(ClassBE); n != 2 {
 		t.Fatalf("EvictClass evicted %d, want 2", n)
@@ -180,8 +144,8 @@ func TestEvictClassEDF(t *testing.T) {
 }
 
 // TestPerClassConservation: under a concurrent mix of completions,
-// gate rejections, evictions, and cancels, per-class conservation
-// holds exactly once the pool drains.
+// evictions, and cancels, per-class conservation holds exactly once the
+// pool drains, and the aggregate is the classes' sum.
 func TestPerClassConservation(t *testing.T) {
 	rt := newRT(t)
 	p := NewPool(rt, PoolConfig{Workers: 2})
@@ -194,7 +158,7 @@ func TestPerClassConservation(t *testing.T) {
 	gate := make(chan struct{})
 	for i := 0; i < 2; i++ {
 		started := make(chan struct{})
-		p.Submit(func(ctx *Ctx) { close(started); <-gate; ctx.Checkpoint() }, track())
+		p.SubmitWithOptions(func(ctx *Ctx) { close(started); <-gate; ctx.Checkpoint() }, SubmitOptions{}, track())
 		<-started
 	}
 	var handles []*TaskHandle
@@ -203,14 +167,12 @@ func TestPerClassConservation(t *testing.T) {
 		if i%2 == 0 {
 			class = ClassBE
 		}
-		h, _ := p.SubmitClass(class, func(ctx *Ctx) {}, track())
+		h, _ := p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{Class: class}, track())
 		handles = append(handles, h)
 	}
 	handles[3].Cancel() // queued LC cancel
 	p.EvictClass(ClassBE)
-	p.SetClassAdmission(ClassBE, false)
-	p.SubmitClass(ClassBE, func(ctx *Ctx) {}, track()) // gate rejection
-	p.SetClassAdmission(ClassBE, true)
+	p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{Class: ClassBE}, track()) // BE after the eviction runs
 	close(gate)
 	wg.Wait()
 	p.Close()
@@ -226,13 +188,11 @@ func TestPerClassConservation(t *testing.T) {
 	for c := 0; c < NumClasses; c++ {
 		agg.Submitted += st.PerClass[c].Submitted
 		agg.Completed += st.PerClass[c].Completed
-		agg.Rejected += st.PerClass[c].Rejected
 		agg.Shed += st.PerClass[c].Shed
 		agg.CancelledQueued += st.PerClass[c].CancelledQueued
 		agg.CancelledExecuting += st.PerClass[c].CancelledExecuting
 	}
-	if agg.Submitted != st.Submitted || agg.Completed != st.Completed ||
-		agg.Rejected != st.Rejected || agg.Shed != st.Shed ||
+	if agg.Submitted != st.Submitted || agg.Completed != st.Completed || agg.Shed != st.Shed ||
 		agg.CancelledQueued != st.CancelledQueued || agg.CancelledExecuting != st.CancelledExecuting {
 		t.Fatalf("per-class totals disagree with aggregates:\nper-class %+v\naggregate %+v", agg, st)
 	}
@@ -250,10 +210,10 @@ func TestOldestWait(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	p.Submit(func(ctx *Ctx) { close(started); <-gate }, nil)
+	p.SubmitWithOptions(func(ctx *Ctx) { close(started); <-gate }, SubmitOptions{}, nil)
 	<-started
 	done := make(chan time.Duration, 1)
-	p.Submit(func(ctx *Ctx) {}, func(l time.Duration) { done <- l })
+	p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, func(l time.Duration) { done <- l })
 	time.Sleep(5 * time.Millisecond)
 	if got := p.OldestWait(time.Now()); got < 2*time.Millisecond {
 		t.Fatalf("OldestWait with queued work = %v, want ≥ 2ms", got)

@@ -45,12 +45,11 @@ func TestCoexistsWithOrdinaryGoroutines(t *testing.T) {
 	// short tasks that must still finish promptly.
 	var wg sync.WaitGroup
 	wg.Add(1)
-	p.Submit(func(ctx *Ctx) { spin(ctx, 25*time.Millisecond) },
-		func(time.Duration) { wg.Done() })
+	p.SubmitWithOptions(func(ctx *Ctx) { spin(ctx, 25*time.Millisecond) }, SubmitOptions{}, func(time.Duration) { wg.Done() })
 	time.Sleep(3 * time.Millisecond)
 	var shortLat time.Duration
 	wg.Add(1)
-	p.Submit(func(ctx *Ctx) {}, func(l time.Duration) { shortLat = l; wg.Done() })
+	p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, func(l time.Duration) { shortLat = l; wg.Done() })
 	wg.Wait()
 	close(stop)
 	churnWG.Wait()

@@ -34,7 +34,11 @@
 //	defer rt.Close()
 //	fns := make([]*preemptible.Fn, 0, len(tasks))
 //	for _, t := range tasks {
-//		fns = append(fns, rt.Launch(t, quantum))
+//		fn, err := rt.Launch(t, quantum)
+//		if err != nil {
+//			return err // runtime closed
+//		}
+//		fns = append(fns, fn)
 //	}
 //	for live := len(fns); live > 0; {
 //		for _, fn := range fns {
@@ -56,8 +60,10 @@
 // task's outcome after its context has moved on; a Task must not keep
 // its *Ctx past its own return.
 //
-// Pool layers the paper's two-level scheduler on top: a dispatcher
-// queue feeding worker goroutines, a global preempted list, per-class
-// latency statistics, and optionally the Algorithm 1 adaptive quantum
-// controller.
+// Pool layers the paper's two-level scheduler on top: a dispatch order
+// over fresh arrivals and preempted functions (FIFO arrivals-first, or
+// EDF) feeding worker goroutines, per-class counters and a latency
+// summary, and optionally the Algorithm 1 adaptive quantum controller.
+// SubmitWithOptions submits a task and returns a handle;
+// SubmitWaitWithOptions submits one and waits for its outcome.
 package preemptible

@@ -19,17 +19,17 @@ func TestEDFOrdersByDeadline(t *testing.T) {
 	// Occupy the worker so the queue builds up deterministically.
 	gate := make(chan struct{})
 	wg.Add(1)
-	p.Submit(func(ctx *Ctx) { <-gate }, func(time.Duration) { wg.Done() })
+	p.SubmitWithOptions(func(ctx *Ctx) { <-gate }, SubmitOptions{}, func(time.Duration) { wg.Done() })
 	time.Sleep(5 * time.Millisecond)
 
 	now := time.Now()
 	submit := func(name string, deadline time.Time) {
 		wg.Add(1)
-		p.SubmitDeadline(func(ctx *Ctx) {
+		p.SubmitWithOptions(func(ctx *Ctx) {
 			mu.Lock()
 			order = append(order, name)
 			mu.Unlock()
-		}, deadline, func(time.Duration) { wg.Done() })
+		}, SubmitOptions{Deadline: deadline}, func(time.Duration) { wg.Done() })
 	}
 	submit("late", now.Add(300*time.Millisecond))
 	submit("none", time.Time{}) // deadline-free sorts last
@@ -64,15 +64,15 @@ func TestEDFPreemptedKeepsDeadline(t *testing.T) {
 	// worker until it finishes.
 	now := time.Now()
 	wg.Add(2)
-	p.SubmitDeadline(func(ctx *Ctx) {
+	p.SubmitWithOptions(func(ctx *Ctx) {
 		spin(ctx, 15*time.Millisecond)
-	}, now.Add(20*time.Millisecond), func(time.Duration) {
+	}, SubmitOptions{Deadline: now.Add(20 * time.Millisecond)}, func(time.Duration) {
 		tightDone.Store(time.Now().UnixNano())
 		wg.Done()
 	})
-	p.SubmitDeadline(func(ctx *Ctx) {
+	p.SubmitWithOptions(func(ctx *Ctx) {
 		spin(ctx, 15*time.Millisecond)
-	}, now.Add(10*time.Second), func(time.Duration) {
+	}, SubmitOptions{Deadline: now.Add(10 * time.Second)}, func(time.Duration) {
 		looseDone.Store(time.Now().UnixNano())
 		wg.Done()
 	})
@@ -89,8 +89,8 @@ func TestEDFSubmitPlainGoesDeadlineFree(t *testing.T) {
 	rt := newRT(t)
 	p := NewPool(rt, PoolConfig{Workers: 1, Quantum: 10 * time.Millisecond, Discipline: EDF})
 	defer p.Close()
-	// Plain Submit on an EDF pool is valid: deadline-free.
-	lat, _ := p.SubmitWait(func(ctx *Ctx) {})
+	// A submission without a deadline is valid on an EDF pool: it sorts last.
+	lat, _, _ := p.SubmitWaitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, nil)
 	if lat <= 0 {
 		t.Fatal("no latency recorded")
 	}
@@ -108,7 +108,7 @@ func TestSubmitDeadlineNilPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.SubmitDeadline(nil, time.Now(), nil)
+	p.SubmitWithOptions(nil, SubmitOptions{Deadline: time.Now()}, nil)
 }
 
 func TestFIFOPoolAcceptsDeadlines(t *testing.T) {
@@ -116,7 +116,7 @@ func TestFIFOPoolAcceptsDeadlines(t *testing.T) {
 	p := NewPool(rt, PoolConfig{Workers: 1})
 	defer p.Close()
 	done := make(chan struct{})
-	p.SubmitDeadline(func(ctx *Ctx) {}, time.Now().Add(time.Second),
+	p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{Deadline: time.Now().Add(time.Second)},
 		func(time.Duration) { close(done) })
 	<-done
 }

@@ -51,7 +51,7 @@ func TestWatchdogEscalatesToTerminal(t *testing.T) {
 	// Correctness survives: quanta are enforced cooperatively at
 	// safepoints, so pool work still completes and still preempts.
 	p := NewPool(rt, PoolConfig{Workers: 1, Quantum: 100 * time.Microsecond})
-	if lat, _ := p.SubmitWait(func(ctx *Ctx) { spin(ctx, 2*time.Millisecond) }); lat < 0 {
+	if lat, _, _ := p.SubmitWaitWithOptions(func(ctx *Ctx) { spin(ctx, 2*time.Millisecond) }, SubmitOptions{}, nil); lat < 0 {
 		t.Fatalf("task on terminal runtime reported %v", lat)
 	}
 	p.Close()

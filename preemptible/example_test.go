@@ -46,7 +46,7 @@ func ExamplePool() {
 	total := 0
 	for i := 1; i <= 4; i++ {
 		i := i
-		pool.SubmitWait(func(ctx *preemptible.Ctx) { total += i })
+		pool.SubmitWaitWithOptions(func(ctx *preemptible.Ctx) { total += i }, preemptible.SubmitOptions{}, nil)
 	}
 	pool.Close()
 	fmt.Println("sum:", total)

@@ -17,10 +17,10 @@ func TestExpireQueuedAtDequeue(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	p.Submit(func(ctx *Ctx) {
+	p.SubmitWithOptions(func(ctx *Ctx) {
 		close(started)
 		<-release
-	}, nil)
+	}, SubmitOptions{}, nil)
 	<-started // the single worker is now occupied
 
 	const n = 8
@@ -138,10 +138,10 @@ func TestExpireEDFFreshDropsAtDequeue(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	p.Submit(func(ctx *Ctx) {
+	p.SubmitWithOptions(func(ctx *Ctx) {
 		close(started)
 		<-release
-	}, nil)
+	}, SubmitOptions{}, nil)
 	<-started
 
 	var doomedRan, freshRan atomic.Bool
@@ -217,7 +217,7 @@ func TestExpirePreemptedSettlesExecuting(t *testing.T) {
 	p.Close()
 }
 
-// TestSoftDeadlineDoesNotExpire: SubmitClassDeadline (no Expire) keeps
+// TestSoftDeadlineDoesNotExpire: a Deadline without Expire keeps
 // its historical soft-SLO semantics — late work still runs to
 // completion.
 func TestSoftDeadlineDoesNotExpire(t *testing.T) {
@@ -226,16 +226,16 @@ func TestSoftDeadlineDoesNotExpire(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	p.Submit(func(ctx *Ctx) {
+	p.SubmitWithOptions(func(ctx *Ctx) {
 		close(started)
 		<-release
-	}, nil)
+	}, SubmitOptions{}, nil)
 	<-started
 
 	var ran atomic.Bool
 	ch := make(chan time.Duration, 1)
-	if _, err := p.SubmitDeadline(func(ctx *Ctx) { ran.Store(true) },
-		time.Now().Add(time.Millisecond), func(l time.Duration) { ch <- l }); err != nil {
+	if _, err := p.SubmitWithOptions(func(ctx *Ctx) { ran.Store(true) },
+		SubmitOptions{Deadline: time.Now().Add(time.Millisecond)}, func(l time.Duration) { ch <- l }); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -280,7 +280,7 @@ func TestDrainIdleFastPath(t *testing.T) {
 	rt := newRT(t)
 	p := NewPool(rt, PoolConfig{Workers: 4})
 
-	if lat, err := p.SubmitWait(func(ctx *Ctx) {}); err != nil || lat < 0 {
+	if lat, _, err := p.SubmitWaitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, nil); err != nil || lat < 0 {
 		t.Fatalf("warmup: lat=%v err=%v", lat, err)
 	}
 
@@ -301,8 +301,8 @@ func TestDrainIdleFastPath(t *testing.T) {
 		t.Fatalf("second Drain: %v, want nil (first result)", err)
 	}
 	p.Close() // third shutdown: still a no-op
-	if _, err := p.Submit(func(ctx *Ctx) {}, nil); err != ErrClosed {
-		t.Fatalf("Submit after Drain: %v, want ErrClosed", err)
+	if _, err := p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, nil); err != ErrClosed {
+		t.Fatalf("submit after Drain: %v, want ErrClosed", err)
 	}
 }
 

@@ -108,17 +108,11 @@ func TestResumeFailedFnPanics(t *testing.T) {
 // conserve work — and the workers survive to run later tasks.
 func TestPoolContainsPanics(t *testing.T) {
 	rt := newRT(t)
-	var hookMu sync.Mutex
-	var hookClasses []Class
-	p := NewPool(rt, PoolConfig{Workers: 2, OnFailure: func(class Class, err *TaskError) {
-		hookMu.Lock()
-		hookClasses = append(hookClasses, class)
-		hookMu.Unlock()
-	}})
+	p := NewPool(rt, PoolConfig{Workers: 2})
 	defer p.Close()
 
 	ch := make(chan time.Duration, 1)
-	h, err := p.SubmitClass(ClassBE, func(ctx *Ctx) { panic(errors.New("bad block")) },
+	h, err := p.SubmitWithOptions(func(ctx *Ctx) { panic(errors.New("bad block")) }, SubmitOptions{Class: ClassBE},
 		func(l time.Duration) { ch <- l })
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +135,7 @@ func TestPoolContainsPanics(t *testing.T) {
 	}
 
 	// Workers unharmed: ordinary work still completes on both classes.
-	if lat, err := p.SubmitWait(func(ctx *Ctx) {}); err != nil || lat < 0 {
+	if lat, _, err := p.SubmitWaitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, nil); err != nil || lat < 0 {
 		t.Fatalf("pool broken after contained panic: lat=%v err=%v", lat, err)
 	}
 
@@ -152,11 +146,6 @@ func TestPoolContainsPanics(t *testing.T) {
 	be := st.PerClass[ClassBE]
 	if be.Settled() != be.Submitted {
 		t.Fatalf("BE conservation broken: %+v", be)
-	}
-	hookMu.Lock()
-	defer hookMu.Unlock()
-	if len(hookClasses) != 1 || hookClasses[0] != ClassBE {
-		t.Fatalf("OnFailure saw %v, want [be]", hookClasses)
 	}
 }
 
@@ -208,7 +197,7 @@ func TestPoolPanicSitesProperty(t *testing.T) {
 					}
 				}
 				wg.Add(1)
-				if _, err := p.Submit(task, func(l time.Duration) {
+				if _, err := p.SubmitWithOptions(task, SubmitOptions{}, func(l time.Duration) {
 					if l == FailedLatency {
 						failed.Add(1)
 					} else if l >= 0 {
@@ -241,10 +230,10 @@ func TestPoolPanicSitesProperty(t *testing.T) {
 			var entered atomic.Int64
 			for i := 0; i < 4; i++ {
 				barrier.Add(1)
-				if _, err := p.Submit(func(ctx *Ctx) {
+				if _, err := p.SubmitWithOptions(func(ctx *Ctx) {
 					entered.Add(1)
 					<-release
-				}, func(time.Duration) { barrier.Done() }); err != nil {
+				}, SubmitOptions{}, func(time.Duration) { barrier.Done() }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -273,11 +262,11 @@ func TestPoolEDFContainsPanics(t *testing.T) {
 	defer p.Close()
 	now := time.Now()
 	ch := make(chan time.Duration, 2)
-	if _, err := p.SubmitDeadline(func(ctx *Ctx) { panic("edf") }, now.Add(time.Millisecond),
+	if _, err := p.SubmitWithOptions(func(ctx *Ctx) { panic("edf") }, SubmitOptions{Deadline: now.Add(time.Millisecond)},
 		func(l time.Duration) { ch <- l }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SubmitDeadline(func(ctx *Ctx) {}, now.Add(time.Hour),
+	if _, err := p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{Deadline: now.Add(time.Hour)},
 		func(l time.Duration) { ch <- l }); err != nil {
 		t.Fatal(err)
 	}
@@ -297,10 +286,10 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	p := NewPool(rt, PoolConfig{Workers: 2, Quantum: time.Millisecond})
 	var done atomic.Int64
 	for i := 0; i < 40; i++ {
-		if _, err := p.Submit(func(ctx *Ctx) {
+		if _, err := p.SubmitWithOptions(func(ctx *Ctx) {
 			ctx.Checkpoint()
 			done.Add(1)
-		}, nil); err != nil {
+		}, SubmitOptions{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,8 +301,8 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	if done.Load() != 40 {
 		t.Fatalf("Drain dropped work: %d of 40 done", done.Load())
 	}
-	if _, err := p.Submit(func(ctx *Ctx) {}, nil); err != ErrClosed {
-		t.Fatalf("Submit after Drain: %v, want ErrClosed", err)
+	if _, err := p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, nil); err != ErrClosed {
+		t.Fatalf("submit after Drain: %v, want ErrClosed", err)
 	}
 	st := p.Stats()
 	if st.Cancelled() != 0 {
@@ -335,7 +324,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	lats := make(chan time.Duration, 3)
 	// Running straggler: holds the only worker, checkpoints while
 	// blocked so the post-deadline cancel can unwind it.
-	if _, err := p.Submit(func(ctx *Ctx) {
+	if _, err := p.SubmitWithOptions(func(ctx *Ctx) {
 		close(started)
 		for {
 			select {
@@ -345,13 +334,13 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 			}
 			ctx.Checkpoint()
 		}
-	}, func(l time.Duration) { lats <- l }); err != nil {
+	}, SubmitOptions{}, func(l time.Duration) { lats <- l }); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	// Queued stragglers: never reach a worker before the deadline.
 	for i := 0; i < 2; i++ {
-		if _, err := p.Submit(func(ctx *Ctx) { t.Error("queued straggler ran") },
+		if _, err := p.SubmitWithOptions(func(ctx *Ctx) { t.Error("queued straggler ran") }, SubmitOptions{},
 			func(l time.Duration) { lats <- l }); err != nil {
 			t.Fatal(err)
 		}

@@ -333,7 +333,6 @@ func (r *Runtime) start(fn *Fn, c *Ctx, task Task, cancelReq *atomic.Uint32, exp
 	c.checkpoints.Store(0)
 	c.live.Store(true)
 	fn.ctx = c
-	r.launched.Add(1)
 	c.parkCh <- struct{}{}
 	return fn.run(quantum)
 }
@@ -374,18 +373,6 @@ func runTaskBody(task Task, ctx *Ctx) {
 		}
 	}()
 	task(ctx)
-}
-
-// LaunchWithDeadline is Launch with admission control: if deadline is
-// non-zero and already past, the task is rejected with
-// ErrDeadlineExpired instead of running work whose result is already
-// late. This is the fast-reject path overloaded schedulers use to shed
-// queued work at the last responsible moment.
-func (r *Runtime) LaunchWithDeadline(task Task, quantum time.Duration, deadline time.Time) (*Fn, error) {
-	if !deadline.IsZero() && !r.clock.Now().Before(deadline) {
-		return nil, ErrDeadlineExpired
-	}
-	return r.Launch(task, quantum)
 }
 
 // Resume continues a preempted function (fn_resume) until the next

@@ -20,13 +20,9 @@ type PoolConfig struct {
 	Quantum time.Duration
 	// Adaptive, when non-nil, runs the Algorithm 1 quantum controller.
 	Adaptive *AdaptiveConfig
-	// Discipline selects FIFO (default, arrivals-first) or EDF
-	// (deadline-ordered, with SubmitDeadline).
+	// Discipline selects the dispatch order: FIFO (default,
+	// arrivals-first) or EDF (deadline-ordered by SubmitOptions.Deadline).
 	Discipline Discipline
-	// OnFailure, when non-nil, is invoked (outside the pool lock, on
-	// the worker goroutine that contained the fault) every time a task
-	// panics. Circuit breakers and alerting hook in here.
-	OnFailure func(class Class, err *TaskError)
 }
 
 // AdaptiveConfig is the public mirror of the paper's Algorithm 1
@@ -47,9 +43,10 @@ type AdaptiveConfig struct {
 
 // PoolStats is a snapshot of a Pool's counters and latency summary.
 // Every submitted task lands in exactly one terminal bucket:
-// Submitted = Completed + Rejected + Shed + Failed + CancelledQueued +
+// Submitted = Completed + Shed + Failed + CancelledQueued +
 // CancelledExecuting + ExpiredQueued + ExpiredExecuting + work still
-// in flight — in aggregate and per class (PerClass).
+// in flight — per class (PerClass), and in aggregate, whose buckets are
+// the sums of the classes'.
 type PoolStats struct {
 	Submitted, Completed uint64
 	Preemptions          uint64
@@ -57,11 +54,8 @@ type PoolStats struct {
 	// contained each fault (the worker survived) and the done callback
 	// observed FailedLatency.
 	Failed uint64
-	// Rejected counts submissions refused at SubmitClass by a closed
-	// class admission gate (SetClassAdmission).
-	Rejected uint64
 	// Shed counts tasks dropped without executing: pickup-deadline
-	// (SubmitTimeout) sheds and EvictClass evictions.
+	// (SubmitOptions.PickupTimeout) sheds and EvictClass evictions.
 	Shed uint64
 	// CancelledQueued counts tasks evicted by TaskHandle.Cancel before
 	// they ever ran; CancelledExecuting counts tasks that had started
@@ -90,48 +84,28 @@ func (s PoolStats) Cancelled() uint64 { return s.CancelledQueued + s.CancelledEx
 func (s PoolStats) Expired() uint64 { return s.ExpiredQueued + s.ExpiredExecuting }
 
 // Pool is the paper's two-level scheduler on the live runtime: a
-// dispatcher queue of fresh arrivals (served first, giving preemptive
-// priority to new — typically short — requests, the c-FCFS policy), a
-// global list of preempted functions, worker goroutines running
+// dispatch order over fresh arrivals and preempted functions (by
+// default arrivals first, giving preemptive priority to new — typically
+// short — requests, the c-FCFS policy), worker goroutines running
 // fn_launch/fn_resume, and an optional adaptive quantum controller.
 type Pool struct {
 	rt *Runtime
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	discipline Discipline
-	arrivals   []*taskState
-	arrHead    int
-	preempted  []*taskState
-	preHead    int
-	edf        edfQueue
-	seq        uint64
-	closed     bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	order  order
+	closed bool
 
-	quantum         time.Duration
-	hist            *stats.Histogram
-	submitted       uint64
-	completed       uint64
-	preempts        uint64
-	rejected        uint64
-	shed            uint64
-	failed          uint64
-	cancelledQueued uint64
-	cancelledExec   uint64
-	expiredQueued   uint64
-	expiredExec     uint64
-	perClass        [NumClasses]ClassStats
+	quantum  time.Duration
+	hist     *stats.Histogram
+	preempts uint64
+	// perClass holds every terminal-bucket counter; Stats sums the
+	// classes into the aggregate.
+	perClass [NumClasses]ClassStats
 	// running tracks tasks currently held by a worker (popped, not yet
 	// settled or requeued); Drain raises their cancel flags when the
 	// deadline passes, since they are in no queue to walk.
-	running map[*taskState]struct{}
-	// gateClosed marks classes whose admission gate is shut
-	// (SetClassAdmission); the zero value — all gates open — is the
-	// historical behavior.
-	gateClosed [NumClasses]bool
-	// tombstones counts queue entries whose task was cancel-evicted but
-	// not yet skipped by a pop (lazy delete keeps the EDF heap intact).
-	tombstones   int
+	running      map[*taskState]struct{}
 	degradedRuns uint64
 	// winLats and winArr are the Algorithm 1 controller's observation
 	// window: latencies are recorded only while a controller runs to
@@ -139,8 +113,6 @@ type Pool struct {
 	adaptive bool
 	winLats  []float64
 	winArr   uint64
-
-	onFailure func(class Class, err *TaskError)
 
 	workersWG sync.WaitGroup
 	ctlStop   chan struct{}
@@ -165,15 +137,14 @@ func NewPool(rt *Runtime, cfg PoolConfig) *Pool {
 		q = DefaultQuantum
 	}
 	p := &Pool{
-		rt:         rt,
-		quantum:    q,
-		discipline: cfg.Discipline,
-		hist:       stats.NewHistogram(),
-		running:    make(map[*taskState]struct{}),
-		onFailure:  cfg.OnFailure,
-		adaptive:   cfg.Adaptive != nil,
-		ctlStop:    make(chan struct{}),
-		drainDone:  make(chan struct{}),
+		rt:        rt,
+		order:     newOrder(cfg.Discipline),
+		quantum:   q,
+		hist:      stats.NewHistogram(),
+		running:   make(map[*taskState]struct{}),
+		adaptive:  cfg.Adaptive != nil,
+		ctlStop:   make(chan struct{}),
+		drainDone: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -187,41 +158,15 @@ func NewPool(rt *Runtime, cfg PoolConfig) *Pool {
 	return p
 }
 
-// Submit enqueues a task; done (optional) is called with the task's
-// sojourn latency when it completes (or a negative sentinel — see
-// ShedLatency/CancelledLatency/FailedLatency — when it does not). The
-// returned handle cancels the task at any point in its lifecycle.
-// Submitting to a closed (or draining) pool returns ErrClosed and a
-// nil handle — a Submit racing Close is an ordinary, handleable
-// outcome, not a crash; done is never called. A nil task or invalid
-// class still panics: those are caller bugs, not races.
-func (p *Pool) Submit(task Task, done func(latency time.Duration)) (*TaskHandle, error) {
-	return p.SubmitWithOptions(task, SubmitOptions{}, done)
-}
-
-// SubmitTimeout enqueues a task with a pickup deadline of now+timeout:
-// if no worker reaches it before the deadline it is shed — never
-// executed — and done is called with ShedLatency (-1). This is the
-// pool's overload fast-reject path: under sustained overload the queue
-// sheds stale work instead of growing without bound in useful-work
-// terms. FIFO discipline only (EDF orders by its own deadlines).
-// Returns ErrClosed after Close/Drain, like Submit.
-func (p *Pool) SubmitTimeout(task Task, timeout time.Duration, done func(latency time.Duration)) (*TaskHandle, error) {
-	if timeout <= 0 {
-		panic("preemptible: non-positive timeout")
-	}
-	return p.SubmitWithOptions(task, SubmitOptions{PickupTimeout: timeout}, done)
-}
-
-// SubmitOptions bundles one submission's scheduling metadata — the
-// single submit surface every Submit* convenience wrapper funnels into.
+// SubmitOptions bundles one submission's scheduling metadata; the zero
+// value is a ClassLC task with no deadline.
 type SubmitOptions struct {
 	// Class is the service class (default ClassLC).
 	Class Class
 	// Deadline, when non-zero, is the request's SLO deadline: under the
 	// EDF discipline it orders execution; under FIFO it is carried as
-	// metadata. With Expire set it is additionally a hard completion
-	// deadline (see Expire).
+	// metadata. Alone it is soft — late work still runs. With Expire set
+	// it is additionally a hard completion deadline (see Expire).
 	Deadline time.Time
 	// Expire arms Deadline as a hard completion deadline: a worker
 	// reaching the task after the deadline drops it at dequeue (done
@@ -232,16 +177,24 @@ type SubmitOptions struct {
 	// is end-to-end deadline propagation's server half: work whose
 	// caller has given up is shed instead of finished.
 	Expire bool
-	// PickupTimeout, when positive, sheds the task if no worker reaches
-	// it within the timeout (done observes ShedLatency), exactly like
-	// SubmitTimeout. FIFO discipline only.
+	// PickupTimeout, when positive, is a pickup deadline of
+	// now+PickupTimeout: a task no worker reaches in time is shed — never
+	// executed — and done observes ShedLatency. Under sustained overload
+	// the queue sheds stale work instead of growing without bound in
+	// useful-work terms.
 	PickupTimeout time.Duration
 }
 
-// SubmitWithOptions enqueues a task with explicit scheduling metadata.
-// Returns ErrClosed after Close/Drain, like Submit. The handle and the
-// task's record are one allocation, and it is never recycled: the
-// caller may keep the handle for as long as it likes.
+// SubmitWithOptions enqueues a task; done (optional) is called with the
+// task's sojourn latency when it completes (or a negative sentinel — see
+// ShedLatency/CancelledLatency/FailedLatency/ExpiredLatency — when it
+// does not). The returned handle cancels the task at any point in its
+// lifecycle. The handle and the task's record are one allocation, and
+// it is never recycled: the caller may keep the handle for as long as
+// it likes. Submitting to a closed (or draining) pool returns ErrClosed
+// and a nil handle — a submit racing Close is an ordinary, handleable
+// outcome, not a crash; done is never called. A nil task or invalid
+// options still panic: those are caller bugs, not races.
 func (p *Pool) SubmitWithOptions(task Task, opts SubmitOptions, done func(latency time.Duration)) (*TaskHandle, error) {
 	sub := &submission{}
 	sub.h = TaskHandle{p: p, st: &sub.st}
@@ -257,7 +210,7 @@ func (p *Pool) SubmitWithOptions(task Task, opts SubmitOptions, done func(latenc
 // acquisition of Pool.mu.
 func (p *Pool) enqueue(st *taskState, task Task, opts *SubmitOptions) error {
 	if task == nil {
-		panic("preemptible: Submit(nil)")
+		panic("preemptible: nil task")
 	}
 	if !opts.Class.valid() {
 		panic(fmt.Sprintf("preemptible: invalid class %d", opts.Class))
@@ -272,7 +225,7 @@ func (p *Pool) enqueue(st *taskState, task Task, opts *SubmitOptions) error {
 	if opts.Expire {
 		st.expires = opts.Deadline.UnixNano()
 	}
-	if opts.PickupTimeout > 0 && p.discipline != EDF { // EDF orders by its own deadlines
+	if opts.PickupTimeout > 0 {
 		st.pickup = time.Now().Add(opts.PickupTimeout)
 	}
 	p.mu.Lock()
@@ -280,37 +233,13 @@ func (p *Pool) enqueue(st *taskState, task Task, opts *SubmitOptions) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	p.submitted++
 	p.perClass[st.class].Submitted++
-	if p.gateClosed[st.class] {
-		// Closed admission gate: the task is refused at the door — a
-		// terminal outcome, never queued, so it is not arrival load.
-		st.status = TaskRejected
-		p.rejected++
-		p.perClass[st.class].Rejected++
-		p.mu.Unlock()
-		st.settle(RejectedLatency)
-		return nil
-	}
 	p.winArr++
 	st.arrival = time.Now()
-	if p.discipline == EDF {
-		p.pushEDFLocked(st)
-	} else {
-		p.arrivals = append(p.arrivals, st)
-	}
+	p.order.enqueue(st)
 	p.mu.Unlock()
 	p.cond.Signal()
 	return nil
-}
-
-// SubmitWait runs the task and blocks until it settles, returning its
-// sojourn latency (or a negative sentinel — see FailedLatency — when
-// it did not complete). Returns ErrClosed without running the task if
-// the pool is closed.
-func (p *Pool) SubmitWait(task Task) (time.Duration, error) {
-	lat, _, err := p.SubmitWaitWithOptions(task, SubmitOptions{}, nil)
-	return lat, err
 }
 
 // waitRecords recycles the records of SubmitWaitWithOptions calls, each
@@ -382,36 +311,44 @@ func (p *Pool) Quantum() time.Duration {
 }
 
 // QueueLen reports queued work (fresh arrivals + preempted functions)
-// not yet picked up by a worker. Admission controllers use it to
-// fast-reject under overload.
+// not yet picked up by a worker; tombstones are not work. It walks the
+// queue, so it is for tests and diagnostics, not a request path.
 func (p *Pool) QueueLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return (len(p.arrivals) - p.arrHead) + (len(p.preempted) - p.preHead) + len(p.edf) - p.tombstones
+	n := 0
+	p.order.each(func(st *taskState) {
+		if st.status == TaskQueued || st.status == TaskPreempted {
+			n++
+		}
+	})
+	return n
 }
 
 // Stats snapshots the pool's counters.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return PoolStats{
-		Submitted:          p.submitted,
-		Completed:          p.completed,
-		Preemptions:        p.preempts,
-		Failed:             p.failed,
-		Rejected:           p.rejected,
-		Shed:               p.shed,
-		CancelledQueued:    p.cancelledQueued,
-		CancelledExecuting: p.cancelledExec,
-		ExpiredQueued:      p.expiredQueued,
-		ExpiredExecuting:   p.expiredExec,
-		DegradedRuns:       p.degradedRuns,
-		QuantumNow:         p.quantum,
-		Mean:               time.Duration(p.hist.Mean()),
-		P50:                time.Duration(p.hist.Median()),
-		P99:                time.Duration(p.hist.P99()),
-		PerClass:           p.perClass,
+	st := PoolStats{
+		Preemptions:  p.preempts,
+		DegradedRuns: p.degradedRuns,
+		QuantumNow:   p.quantum,
+		Mean:         time.Duration(p.hist.Mean()),
+		P50:          time.Duration(p.hist.Median()),
+		P99:          time.Duration(p.hist.P99()),
+		PerClass:     p.perClass,
 	}
+	for _, c := range p.perClass {
+		st.Submitted += c.Submitted
+		st.Completed += c.Completed
+		st.Failed += c.Failed
+		st.Shed += c.Shed
+		st.CancelledQueued += c.CancelledQueued
+		st.CancelledExecuting += c.CancelledExecuting
+		st.ExpiredQueued += c.ExpiredQueued
+		st.ExpiredExecuting += c.ExpiredExecuting
+	}
+	return st
 }
 
 // Close waits for all queued and executing work to finish, then stops
@@ -423,7 +360,7 @@ func (p *Pool) Close() {
 }
 
 // Drain shuts the pool down gracefully: admission stops immediately
-// (Submit* return ErrClosed), queued and in-flight work keeps running
+// (submits return ErrClosed), queued and in-flight work keeps running
 // until it finishes or ctx expires, and on expiry the stragglers are
 // cancelled through the ordinary cancel paths — queued work is evicted
 // (done observes CancelledLatency without ever occupying a worker),
@@ -479,9 +416,7 @@ func (p *Pool) drain(ctx context.Context) error {
 func (p *Pool) cancelStragglers() {
 	var evicted []*taskState
 	p.mu.Lock()
-	// Queued work is tombstoned exactly as by Cancel; preempted work
-	// gets its flag raised and unwinds on its next resume.
-	sweep := func(st *taskState) {
+	p.order.each(func(st *taskState) {
 		switch st.status {
 		case TaskQueued:
 			p.evictQueuedLocked(st)
@@ -489,16 +424,7 @@ func (p *Pool) cancelStragglers() {
 		case TaskPreempted:
 			st.cancelReq.Store(1)
 		}
-	}
-	for _, st := range p.arrivals[p.arrHead:] {
-		sweep(st)
-	}
-	for _, it := range p.edf {
-		sweep(it.st)
-	}
-	for _, st := range p.preempted[p.preHead:] {
-		sweep(st)
-	}
+	})
 	for st := range p.running {
 		st.cancelReq.Store(1)
 	}
@@ -509,55 +435,23 @@ func (p *Pool) cancelStragglers() {
 	}
 }
 
-// popQueue pops the head of one of the two FIFO queues (nil when it is
-// empty). The slot is cleared so the queue keeps no record alive, an
-// emptied queue rewinds onto its own backing array — the steady state
-// of a pool that keeps up appends without allocating — and a queue that
-// never empties is compacted once its dead prefix outgrows its tail.
-func popQueue(q *[]*taskState, head *int) *taskState {
-	if *head == len(*q) {
-		return nil
-	}
-	st := (*q)[*head]
-	(*q)[*head] = nil
-	*head++
-	switch {
-	case *head == len(*q):
-		*q, *head = (*q)[:0], 0
-	case *head > 256 && *head*2 >= len(*q):
-		*q, *head = append([]*taskState(nil), (*q)[*head:]...), 0
-	}
-	return st
-}
-
-// next pops work: under FIFO, fresh arrivals first, then the preempted
-// list; under EDF, the earliest deadline across both. Cancel-evicted
-// tombstones are skipped here (their done already fired at Cancel
-// time). The popped task's state moves to Running inside the lock, so
-// a Cancel arriving after the pop takes the cooperative (flag) path
-// instead of double-reporting an eviction. resume reports that the task
-// was preempted before and is to be resumed, not launched; q is the
-// time slice to give it, read in the same critical section. Returns
-// with ok=false when the pool is closed and drained.
+// next pops work in the pool's dispatch order. Tombstones — tasks
+// cancel- or class-evicted while queued — are skipped here, and only
+// here (their done already fired). The popped task's state moves to
+// Running inside the lock, so a Cancel arriving after the pop takes the
+// cooperative (flag) path instead of double-reporting an eviction.
+// resume reports that the task was preempted before and is to be
+// resumed, not launched; q is the time slice to give it, read in the
+// same critical section. Returns with ok=false when the pool is closed
+// and drained.
 func (p *Pool) next() (st *taskState, resume bool, q time.Duration, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.discipline == EDF {
-			if it := p.popEDFLocked(); it != nil {
-				st = it.st
-			}
-		} else if st = popQueue(&p.arrivals, &p.arrHead); st != nil {
+		if st = p.order.next(); st != nil {
 			if st.status == TaskCancelledQueued || st.status == TaskShed {
-				// Tombstone: cancel-evicted or class-evicted; its done
-				// already fired.
-				p.tombstones--
 				continue
 			}
-		} else {
-			st = popQueue(&p.preempted, &p.preHead)
-		}
-		if st != nil {
 			resume = st.status == TaskPreempted
 			st.status = TaskRunning
 			p.running[st] = struct{}{}
@@ -591,8 +485,8 @@ func (p *Pool) worker() {
 		}
 		if resume {
 			// No runtime.Gosched before a resume: arrivals come first
-			// because next() looks at the arrival queue before the
-			// preempted list, and the yield that used to sit here bought
+			// because the FIFO order looks at the arrival queue before
+			// the preempted list, and the yield that used to sit here bought
 			// nothing measurable on one processor (GOMAXPROCS=1 colocate:
 			// 169 ops/s with it, 156 without — both are Go's 10 ms slice)
 			// while costing colocate a third of its throughput on two
@@ -638,8 +532,8 @@ func (p *Pool) worker() {
 // runCooperative is the graceful-degradation path: the runtime refused
 // Launch (closed mid-shutdown), so the task runs inline on the worker
 // goroutine with a coop context — Checkpoint and Yield are no-ops, no
-// preemption — and still completes and reports its latency. No task
-// accepted by Submit is ever lost; a pending cancel still unwinds at
+// preemption — and still completes and reports its latency. No
+// accepted task is ever lost; a pending cancel still unwinds at
 // the first safepoint even in degraded mode.
 func (p *Pool) runCooperative(st *taskState) {
 	ctx := &Ctx{coop: true, cancelReq: &st.cancelReq, expiresAt: st.expires}
@@ -677,11 +571,7 @@ func (p *Pool) afterRun(st *taskState) {
 		p.preempts++
 		st.status = TaskPreempted
 		delete(p.running, st)
-		if p.discipline == EDF {
-			p.pushEDFLocked(st)
-		} else {
-			p.preempted = append(p.preempted, st)
-		}
+		p.order.requeue(st)
 		p.mu.Unlock()
 		p.cond.Signal()
 	}
@@ -696,23 +586,18 @@ func (p *Pool) finish(st *taskState, status TaskState, lat time.Duration) {
 	pc := &p.perClass[st.class]
 	switch status {
 	case TaskCompleted:
-		p.completed++
 		pc.Completed++
 		p.hist.Record(int64(lat))
 		if p.adaptive {
 			p.winLats = append(p.winLats, float64(lat))
 		}
 	case TaskShed:
-		p.shed++
 		pc.Shed++
 	case TaskExpiredQueued:
-		p.expiredQueued++
 		pc.ExpiredQueued++
 	case TaskExpiredExecuting:
-		p.expiredExec++
 		pc.ExpiredExecuting++
 	case TaskCancelledExecuting:
-		p.cancelledExec++
 		pc.CancelledExecuting++
 	default:
 		panic("preemptible: finish with " + status.String())
@@ -725,19 +610,14 @@ func (p *Pool) finish(st *taskState, status TaskState, lat time.Duration) {
 
 // finishFailed settles a task whose body panicked: the fault was
 // contained by runTaskBody, the worker is unharmed, and the captured
-// TaskError is published on the handle (and to the OnFailure hook,
-// invoked outside the lock on this worker goroutine).
+// TaskError is published on the handle.
 func (p *Pool) finishFailed(st *taskState, terr *TaskError) {
 	p.mu.Lock()
-	p.failed++
 	p.perClass[st.class].Failed++
 	st.status = TaskFailed
 	st.failure = terr
 	delete(p.running, st)
 	p.mu.Unlock()
-	if p.onFailure != nil {
-		p.onFailure(st.class, terr)
-	}
 	st.settle(FailedLatency)
 }
 
@@ -769,22 +649,21 @@ func (p *Pool) controller(cfg AdaptiveConfig) {
 			return
 		case <-ticker.C:
 		}
-		p.mu.Lock()
-		lats := p.winLats
-		p.winLats = nil
-		arr := p.winArr
-		p.winArr = 0
-		qlen := len(p.preempted) - p.preHead + len(p.edf)
-		if p.discipline == EDF {
-			qlen -= p.tombstones // cancel-evicted heap entries are not load
-		}
-		p.mu.Unlock()
-		obs := adaptive.Observation{
-			Rate:      float64(arr) / period.Seconds(),
-			QueueLen:  qlen,
-			Latencies: lats,
-		}
-		newQ := time.Duration(ctl.Step(obs))
-		p.SetQuantum(newQ)
+		p.SetQuantum(time.Duration(ctl.Step(p.observe(period))))
 	}
+}
+
+// observe takes the controller's window for one period and resets it:
+// the arrival rate, the completed tasks' latencies, and the length of
+// the preempted queue, which QThreshold is measured against.
+func (p *Pool) observe(period time.Duration) adaptive.Observation {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	obs := adaptive.Observation{
+		Rate:      float64(p.winArr) / period.Seconds(),
+		QueueLen:  p.order.preempted(),
+		Latencies: p.winLats,
+	}
+	p.winLats, p.winArr = nil, 0
+	return obs
 }

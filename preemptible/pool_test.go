@@ -14,7 +14,7 @@ func TestPoolRunsTasks(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
-		p.Submit(func(ctx *Ctx) { done.Add(1) }, func(time.Duration) { wg.Done() })
+		p.SubmitWithOptions(func(ctx *Ctx) { done.Add(1) }, SubmitOptions{}, func(time.Duration) { wg.Done() })
 	}
 	wg.Wait()
 	p.Close()
@@ -34,7 +34,7 @@ func TestPoolSubmitWait(t *testing.T) {
 	rt := newRT(t)
 	p := NewPool(rt, PoolConfig{Workers: 2})
 	defer p.Close()
-	lat, _ := p.SubmitWait(func(ctx *Ctx) { time.Sleep(time.Millisecond) })
+	lat, _, _ := p.SubmitWaitWithOptions(func(ctx *Ctx) { time.Sleep(time.Millisecond) }, SubmitOptions{}, nil)
 	if lat < time.Millisecond {
 		t.Fatalf("latency = %v", lat)
 	}
@@ -47,12 +47,12 @@ func TestPoolPreemptsLongTasks(t *testing.T) {
 	wg.Add(1)
 	// A long task on the single worker...
 	start := time.Now()
-	p.Submit(func(ctx *Ctx) { spin(ctx, 30*time.Millisecond) }, func(time.Duration) { wg.Done() })
+	p.SubmitWithOptions(func(ctx *Ctx) { spin(ctx, 30*time.Millisecond) }, SubmitOptions{}, func(time.Duration) { wg.Done() })
 	// ...must not head-of-line block a short task for its full 30ms.
 	var shortLat time.Duration
 	wg.Add(1)
 	time.Sleep(2 * time.Millisecond)
-	p.Submit(func(ctx *Ctx) {}, func(l time.Duration) { shortLat = l; wg.Done() })
+	p.SubmitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, func(l time.Duration) { shortLat = l; wg.Done() })
 	wg.Wait()
 	elapsed := time.Since(start)
 	p.Close()
@@ -99,7 +99,7 @@ func TestPoolAdaptiveControllerAdjusts(t *testing.T) {
 	defer p.Close()
 	// Trickle of short tasks: light-tailed, low load → quantum must rise.
 	for i := 0; i < 10; i++ {
-		p.SubmitWait(func(ctx *Ctx) {})
+		p.SubmitWaitWithOptions(func(ctx *Ctx) {}, SubmitOptions{}, nil)
 		time.Sleep(5 * time.Millisecond)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -120,7 +120,7 @@ func TestPoolSubmitNilPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.Submit(nil, nil)
+	p.SubmitWithOptions(nil, SubmitOptions{}, nil)
 }
 
 func TestPoolZeroWorkersPanics(t *testing.T) {
@@ -138,24 +138,15 @@ func TestPoolSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 	p := NewPool(rt, PoolConfig{Workers: 1})
 	p.Close()
 	ran := false
-	h, err := p.Submit(func(*Ctx) { ran = true }, func(time.Duration) { ran = true })
-	if err != ErrClosed {
-		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
+	all := []SubmitOptions{{}, {Class: ClassBE}, {Deadline: time.Now().Add(time.Second)}, {PickupTimeout: time.Second}}
+	for _, opts := range all {
+		h, err := p.SubmitWithOptions(func(*Ctx) { ran = true }, opts, func(time.Duration) { ran = true })
+		if err != ErrClosed || h != nil {
+			t.Fatalf("submit %+v after Close: handle %v, err = %v; want nil, ErrClosed", opts, h, err)
+		}
 	}
-	if h != nil {
-		t.Fatalf("Submit after Close returned a handle: %v", h)
-	}
-	if _, err := p.SubmitClass(ClassBE, func(*Ctx) { ran = true }, nil); err != ErrClosed {
-		t.Fatalf("SubmitClass after Close: err = %v, want ErrClosed", err)
-	}
-	if _, err := p.SubmitDeadline(func(*Ctx) { ran = true }, time.Now().Add(time.Second), nil); err != ErrClosed {
-		t.Fatalf("SubmitDeadline after Close: err = %v, want ErrClosed", err)
-	}
-	if _, err := p.SubmitTimeout(func(*Ctx) { ran = true }, time.Second, nil); err != ErrClosed {
-		t.Fatalf("SubmitTimeout after Close: err = %v, want ErrClosed", err)
-	}
-	if _, err := p.SubmitWait(func(*Ctx) { ran = true }); err != ErrClosed {
-		t.Fatalf("SubmitWait after Close: err = %v, want ErrClosed", err)
+	if _, _, err := p.SubmitWaitWithOptions(func(*Ctx) { ran = true }, SubmitOptions{}, nil); err != ErrClosed {
+		t.Fatalf("SubmitWaitWithOptions after Close: err = %v, want ErrClosed", err)
 	}
 	if ran {
 		t.Fatal("a refused submission ran its task or done callback")
@@ -167,7 +158,7 @@ func TestPoolCloseDrainsQueuedWork(t *testing.T) {
 	p := NewPool(rt, PoolConfig{Workers: 2, Quantum: time.Millisecond})
 	var done atomic.Int64
 	for i := 0; i < 50; i++ {
-		p.Submit(func(ctx *Ctx) { done.Add(1) }, nil)
+		p.SubmitWithOptions(func(ctx *Ctx) { done.Add(1) }, SubmitOptions{}, nil)
 	}
 	p.Close()
 	if done.Load() != 50 {
@@ -187,10 +178,10 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				var inner sync.WaitGroup
 				inner.Add(1)
-				p.Submit(func(ctx *Ctx) {
+				p.SubmitWithOptions(func(ctx *Ctx) {
 					done.Add(1)
 					ctx.Checkpoint()
-				}, func(time.Duration) { inner.Done() })
+				}, SubmitOptions{}, func(time.Duration) { inner.Done() })
 				inner.Wait()
 			}
 		}()

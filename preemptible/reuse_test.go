@@ -168,11 +168,11 @@ func TestContextReuseProperty(t *testing.T) {
 			atGate.Add(1)
 			enterGate := body(gate)
 			settled.Add(1)
-			h, err := p.Submit(func(ctx *Ctx) {
+			h, err := p.SubmitWithOptions(func(ctx *Ctx) {
 				enterGate(ctx)
 				atGate.Done()
 				<-release
-			}, func(l time.Duration) { gate.lat = l; settled.Done() })
+			}, SubmitOptions{}, func(l time.Duration) { gate.lat = l; settled.Done() })
 			if err != nil {
 				t.Fatal(err)
 			}

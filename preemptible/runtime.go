@@ -126,8 +126,6 @@ type Runtime struct {
 
 	// Preemptions counts deadline-expiry preemption flags raised.
 	preemptions atomic.Uint64
-	// launched counts Fns created.
-	launched atomic.Uint64
 
 	// free is the context free list (the paper's): idle contexts, each a
 	// parked goroutine still registered with the timer service with its
@@ -149,10 +147,6 @@ const maxParked = 256
 
 // ErrClosed is returned by Launch after Close.
 var ErrClosed = errors.New("preemptible: runtime closed")
-
-// ErrDeadlineExpired is returned by LaunchWithDeadline when the task's
-// deadline has already passed at launch time (admission control).
-var ErrDeadlineExpired = errors.New("preemptible: deadline expired before launch")
 
 // New starts a runtime, its timer goroutine, and (unless disabled) the
 // watchdog supervising it.
@@ -238,12 +232,6 @@ func (r *Runtime) Preemptions() uint64 { return r.preemptions.Load() }
 // itself raised — the subset of Preemptions delivered by the timer
 // service rather than self-enforced at a safepoint.
 func (r *Runtime) TimerPreemptions() uint64 { return r.timerFlags.Load() }
-
-// Launched reports how many Fns were created.
-func (r *Runtime) Launched() uint64 { return r.launched.Load() }
-
-// Resolution reports the timer polling period.
-func (r *Runtime) Resolution() time.Duration { return r.resolution }
 
 // Degraded reports whether the timer service is currently considered
 // down (watchdog detected a stalled loop that has not ticked again

@@ -108,7 +108,7 @@ func TestPoolSurvivesTimerStall(t *testing.T) {
 	var done atomic.Uint64
 	const tasks = 16
 	for i := 0; i < tasks; i++ {
-		p.Submit(spin, func(time.Duration) { done.Add(1) })
+		p.SubmitWithOptions(spin, SubmitOptions{}, func(time.Duration) { done.Add(1) })
 	}
 
 	ck.Stall()
@@ -155,7 +155,7 @@ func TestLaunchCloseRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ran atomic.Uint64
+		var launched, ran atomic.Uint64
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -171,6 +171,7 @@ func TestLaunchCloseRace(t *testing.T) {
 						}
 						return
 					}
+					launched.Add(1)
 					if !fn.Completed() {
 						fn.Resume(time.Millisecond)
 					}
@@ -183,30 +184,9 @@ func TestLaunchCloseRace(t *testing.T) {
 		if n := rt.registered(); n != 0 {
 			t.Fatalf("iter %d: %d ctxs leaked registered after Close", iter, n)
 		}
-		if rt.Launched() != ran.Load() {
-			t.Fatalf("iter %d: launched %d but ran %d", iter, rt.Launched(), ran.Load())
+		if launched.Load() != ran.Load() {
+			t.Fatalf("iter %d: launched %d but ran %d", iter, launched.Load(), ran.Load())
 		}
-	}
-}
-
-func TestLaunchWithDeadlineAdmission(t *testing.T) {
-	rt, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	if _, err := rt.LaunchWithDeadline(func(*Ctx) {}, 0, time.Now().Add(-time.Millisecond)); err != ErrDeadlineExpired {
-		t.Fatalf("expired deadline: got %v, want ErrDeadlineExpired", err)
-	}
-	ran := false
-	fn, err := rt.LaunchWithDeadline(func(*Ctx) { ran = true }, 0, time.Now().Add(time.Hour))
-	if err != nil || !fn.Completed() || !ran {
-		t.Fatalf("future deadline: err=%v completed=%v ran=%v", err, fn.Completed(), ran)
-	}
-	// Zero deadline means no admission control.
-	if _, err := rt.LaunchWithDeadline(func(*Ctx) {}, 0, time.Time{}); err != nil {
-		t.Fatalf("zero deadline: %v", err)
 	}
 }
 
@@ -224,11 +204,11 @@ func TestPoolDegradedRunsCooperatively(t *testing.T) {
 	const tasks = 20
 	var done atomic.Uint64
 	for i := 0; i < tasks; i++ {
-		p.Submit(func(ctx *Ctx) {
+		p.SubmitWithOptions(func(ctx *Ctx) {
 			ctx.Checkpoint() // must be a no-op, not a deadlock
 			ctx.Yield()      // likewise
 			done.Add(1)
-		}, func(time.Duration) {})
+		}, SubmitOptions{}, func(time.Duration) {})
 	}
 	waitUntil(t, 2*time.Second, func() bool { return done.Load() == tasks },
 		"degraded tasks to finish")
@@ -239,43 +219,57 @@ func TestPoolDegradedRunsCooperatively(t *testing.T) {
 	}
 }
 
+// TestPoolSubmitTimeoutSheds: a task no worker reaches before its
+// pickup deadline is shed, never executed — under either dispatch
+// order, since the check sits in the worker, not in the order.
 func TestPoolSubmitTimeoutSheds(t *testing.T) {
-	rt, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	p := NewPool(rt, PoolConfig{Workers: 1})
-	defer p.Close()
+	for _, tc := range []struct {
+		name string
+		d    Discipline
+	}{{"FIFO", FIFO}, {"EDF", EDF}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRT(t)
+			p := NewPool(rt, PoolConfig{Workers: 1, Discipline: tc.d})
+			defer p.Close()
 
-	// Block the single worker on a task that holds its slot until
-	// released (no checkpoints, so no preemption).
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	p.Submit(func(*Ctx) {
-		close(blocked)
-		<-release
-	}, nil)
-	<-blocked
+			// Block the single worker on a task that holds its slot until
+			// released (no checkpoints, so no preemption).
+			release := make(chan struct{})
+			blocked := make(chan struct{})
+			p.SubmitWithOptions(func(*Ctx) {
+				close(blocked)
+				<-release
+			}, SubmitOptions{}, nil)
+			<-blocked
 
-	const shedN = 5
-	lats := make(chan time.Duration, shedN)
-	for i := 0; i < shedN; i++ {
-		p.SubmitTimeout(func(*Ctx) { t.Error("shed task executed") },
-			5*time.Millisecond, func(l time.Duration) { lats <- l })
-	}
-	time.Sleep(20 * time.Millisecond) // let every pickup deadline lapse
-	close(release)
+			const shedN = 5
+			lats := make(chan time.Duration, shedN)
+			var handles []*TaskHandle
+			for i := 0; i < shedN; i++ {
+				h, _ := p.SubmitWithOptions(func(*Ctx) { t.Error("shed task executed") },
+					SubmitOptions{PickupTimeout: 5 * time.Millisecond, Deadline: time.Now().Add(time.Hour)},
+					func(l time.Duration) { lats <- l })
+				handles = append(handles, h)
+			}
+			time.Sleep(20 * time.Millisecond) // let every pickup deadline lapse
+			close(release)
 
-	for i := 0; i < shedN; i++ {
-		if l := <-lats; l >= 0 {
-			t.Fatalf("shed task reported latency %v, want -1", l)
-		}
-	}
-	waitUntil(t, time.Second, func() bool { return p.Stats().Shed == shedN },
-		"shed counter")
-	st := p.Stats()
-	if st.Shed != shedN || st.Completed != 1 {
-		t.Fatalf("shed=%d completed=%d, want %d/1", st.Shed, st.Completed, shedN)
+			for i := 0; i < shedN; i++ {
+				if l := <-lats; l != ShedLatency {
+					t.Fatalf("shed task reported latency %v, want ShedLatency", l)
+				}
+			}
+			for _, h := range handles {
+				if got := h.State(); got != TaskShed {
+					t.Fatalf("state %v, want shed", got)
+				}
+			}
+			waitUntil(t, time.Second, func() bool { return p.Stats().Shed == shedN },
+				"shed counter")
+			st := p.Stats()
+			if st.Shed != shedN || st.Completed != 1 {
+				t.Fatalf("shed=%d completed=%d, want %d/1", st.Shed, st.Completed, shedN)
+			}
+		})
 	}
 }
