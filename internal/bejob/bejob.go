@@ -7,15 +7,16 @@
 //   - a simulated request generator (service-time model, ClassBE
 //     requests) used by the colocation experiments; and
 //   - a real compression engine built on the standard library's
-//     compress/flate (zlib's DEFLATE), used by the live examples so the
-//     BE job performs genuine work.
+//     compress/flate (zlib's DEFLATE, without zlib's two-byte header and
+//     checksum), used by the live server's COMPRESS verb and the
+//     examples so the BE job performs genuine work.
 package bejob
 
 import (
 	"bytes"
 	"compress/flate"
 	"io"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -65,18 +66,37 @@ func (g *Generator) NextRequest(arrival sim.Time) *sched.Request {
 	return sched.NewRequest(g.next, sched.ClassBE, arrival, g.dist.Sample(g.rng))
 }
 
-// Engine is the real compression engine for live examples: it
-// compresses blocks with DEFLATE and reports byte counts. It is safe
-// for concurrent use — pool workers share one engine.
+// Engine is the real compression engine: it compresses blocks with
+// DEFLATE and reports the compressed size. It is safe for concurrent use
+// — pool workers share one engine — and allocates nothing in steady
+// state. A DEFLATE writer is about 800 KB of tables, so a new one per
+// block made the engine the process's largest source of garbage and put
+// the collector beside every latency-critical request; the engine
+// instead keeps idle writers and resets one for each block, which
+// yields exactly the bytes a new writer would.
 type Engine struct {
 	level int
-	// BlocksDone and BytesIn/BytesOut count work performed.
-	BlocksDone        atomic.Uint64
-	BytesIn, BytesOut atomic.Uint64
+	idle  sync.Pool // of *sizer
+}
+
+// sizer is a DEFLATE writer bound to the sink it writes into. Only the
+// compressed size is reported, so the sink counts bytes and keeps none.
+type sizer struct {
+	w *flate.Writer
+	n byteCount
+}
+
+// byteCount is an io.Writer that counts what it is given.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
 }
 
 // NewEngine returns an engine at the given flate compression level
-// (flate.DefaultCompression if 0).
+// (flate.DefaultCompression if 0). An invalid level is reported by
+// CompressBlock.
 func NewEngine(level int) *Engine {
 	if level == 0 {
 		level = flate.DefaultCompression
@@ -86,21 +106,25 @@ func NewEngine(level int) *Engine {
 
 // CompressBlock compresses one block and returns the compressed size.
 func (e *Engine) CompressBlock(block []byte) (int, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, e.level)
-	if err != nil {
+	s, _ := e.idle.Get().(*sizer)
+	if s == nil {
+		s = new(sizer)
+		w, err := flate.NewWriter(&s.n, e.level)
+		if err != nil {
+			return 0, err
+		}
+		s.w = w
+	}
+	defer e.idle.Put(s)
+	s.n = 0
+	s.w.Reset(&s.n)
+	if _, err := s.w.Write(block); err != nil {
 		return 0, err
 	}
-	if _, err := w.Write(block); err != nil {
+	if err := s.w.Close(); err != nil {
 		return 0, err
 	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	e.BlocksDone.Add(1)
-	e.BytesIn.Add(uint64(len(block)))
-	e.BytesOut.Add(uint64(buf.Len()))
-	return buf.Len(), nil
+	return int(s.n), nil
 }
 
 // Decompress inflates data (round-trip validation in tests/examples).

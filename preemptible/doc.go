@@ -65,5 +65,8 @@
 // EDF) feeding worker goroutines, per-class counters and a latency
 // summary, and optionally the Algorithm 1 adaptive quantum controller.
 // SubmitWithOptions submits a task and returns a handle;
-// SubmitWaitWithOptions submits one and waits for its outcome.
+// SubmitWaitWithOptions submits one and waits for its outcome. A ClassBE
+// task runs on a context of its own kind, whose goroutine holds an OS
+// thread of lowered priority (nice 19 on Linux) for life, so the kernel
+// hands the processor to latency-critical threads first.
 package preemptible

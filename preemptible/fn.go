@@ -2,6 +2,7 @@ package preemptible
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -22,8 +23,18 @@ type Task func(ctx *Ctx)
 // ends and hands it to a later Launch (see Runtime.acquire), so a Ctx
 // outlives the task it is passed to. A Task must not keep its *Ctx past
 // its own return.
+//
+// Contexts come in two kinds, one per Class, and a context only ever
+// serves tasks of its own kind. A BE context's goroutine is locked to
+// its OS thread for life and lowers that thread's scheduling priority
+// once (nice 19 on Linux), so CPU-bound best-effort work yields the
+// processor to any latency-critical thread the kernel wakes beside it;
+// since the goroutine never unlocks, the thread ends with it and never
+// runs LC code.
 type Ctx struct {
 	rt *Runtime
+	// class is the context's kind, fixed at creation.
+	class Class
 	// deadline is the word the timer service polls: 0 = disarmed, a
 	// positive value = unixnano of the next preemption, preemptPending =
 	// the deadline passed and the task is to yield at its next
@@ -288,7 +299,7 @@ func (r *Runtime) Launch(task Task, quantum time.Duration) (*Fn, error) {
 	if task == nil {
 		panic("preemptible: nil task")
 	}
-	c, err := r.acquire(nil)
+	c, err := r.acquire(ClassLC, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +351,16 @@ func (r *Runtime) start(fn *Fn, c *Ctx, task Task, cancelReq *atomic.Uint32, exp
 // loop is the context goroutine: run the task handed over with each
 // wake-up, report its end, park again. A wake-up with no task is
 // Runtime.discard telling the goroutine to exit.
+//
+// A BE context first takes its thread for good. It never unlocks: the
+// thread's priority cannot be raised back without CAP_SYS_NICE, so the
+// niced thread must not return to Go's pool, and a goroutine that exits
+// locked takes its thread with it.
 func (c *Ctx) loop() {
+	if c.class == ClassBE {
+		runtime.LockOSThread()
+		lowerThreadPriority()
+	}
 	for {
 		<-c.parkCh
 		task := c.task

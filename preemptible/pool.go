@@ -3,6 +3,7 @@ package preemptible
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -464,18 +465,22 @@ func (p *Pool) next() (st *taskState, resume bool, q time.Duration, ok bool) {
 	}
 }
 
-// worker runs tasks until the pool is closed and drained. It keeps the
-// context of the last task that ended on it as the spare for its next
-// launch — the common case touches neither the runtime's free list nor
-// any runtime lock. The spare is gone when a launched task is preempted
-// (the task carries the context away into the preempted list) and
-// surplus when a resumed task ends while a spare is already held.
+// worker runs tasks until the pool is closed and drained. It keeps, per
+// class, the context of the last task of that class that ended on it as
+// the spare for its next launch of the class — the common case touches
+// neither the runtime's free lists nor any runtime lock, and a BE task
+// never lands on an LC context or the reverse. A spare is gone when a
+// launched task is preempted (the task carries the context away into the
+// preempted list) and surplus when a resumed task ends while a spare of
+// its kind is already held.
 func (p *Pool) worker() {
 	defer p.workersWG.Done()
-	var spare *Ctx
+	var spares [NumClasses]*Ctx
 	defer func() {
-		if spare != nil {
-			p.rt.release(spare)
+		for _, c := range spares {
+			if c != nil {
+				p.rt.release(c)
+			}
 		}
 	}()
 	for {
@@ -492,8 +497,8 @@ func (p *Pool) worker() {
 			// while costing colocate a third of its throughput on two
 			// (DESIGN.md, "No yield before resume").
 			if freed := st.fn.run(q); freed != nil {
-				if spare == nil {
-					spare = freed
+				if spares[freed.class] == nil {
+					spares[freed.class] = freed
 				} else {
 					p.rt.release(freed)
 				}
@@ -516,15 +521,15 @@ func (p *Pool) worker() {
 			p.finish(st, TaskShed, ShedLatency)
 			continue
 		}
-		c, err := p.rt.acquire(spare)
+		c, err := p.rt.acquire(st.class, spares[st.class])
 		if err != nil {
 			// Runtime closed under us (the spare went with it): run the
 			// task cooperatively rather than losing it.
-			spare = nil
+			spares[st.class] = nil
 			p.runCooperative(st)
 			continue
 		}
-		spare = p.rt.start(&st.fn, c, st.task, &st.cancelReq, st.expires, q)
+		spares[st.class] = p.rt.start(&st.fn, c, st.task, &st.cancelReq, st.expires, q)
 		p.afterRun(st)
 	}
 }
@@ -567,6 +572,7 @@ func (p *Pool) afterRun(st *taskState) {
 	case fn.Completed():
 		p.finish(st, TaskCompleted, time.Since(st.arrival))
 	default:
+		be := st.class == ClassBE // read before another worker can take st
 		p.mu.Lock()
 		p.preempts++
 		st.status = TaskPreempted
@@ -574,6 +580,14 @@ func (p *Pool) afterRun(st *taskState) {
 		p.order.requeue(st)
 		p.mu.Unlock()
 		p.cond.Signal()
+		if be {
+			// Every hand-off to a BE context's locked thread restarts Go's
+			// 10 ms time slice, so a BE task bouncing between its thread
+			// and this worker would keep the processor from every other
+			// goroutine queued on it — a submitter included — for as long
+			// as the task runs. Give them their turn before the next pop.
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -77,6 +77,9 @@ func TestContextReuseProperty(t *testing.T) {
 			t.Errorf("%v task entered a dirty context: preempted=%v cancelled=%v unwound=%v expired=%v checkpoints=%d failure=%v",
 				rec.kind, ctx.Preempted(), ctx.Cancelled(), ctx.CancelUnwound(), ctx.DeadlineExpired(), ctx.Checkpoints(), ctx.failure)
 		}
+		if ctx.class != rec.class {
+			t.Errorf("%v task of class %v entered a %v context", rec.kind, rec.class, ctx.class)
+		}
 		rec.ran.Store(true)
 		mu.Lock()
 		rec.ctx, rec.useSeq = ctx, served[ctx]
@@ -409,7 +412,7 @@ func TestContextReuseListIsBounded(t *testing.T) {
 		fn.Resume(time.Second)
 	}
 	rt.freeMu.Lock()
-	parked := len(rt.free)
+	parked := len(rt.free[ClassLC])
 	rt.freeMu.Unlock()
 	rt.mu.Lock()
 	existing := len(rt.ctxs)

@@ -127,22 +127,23 @@ type Runtime struct {
 	// Preemptions counts deadline-expiry preemption flags raised.
 	preemptions atomic.Uint64
 
-	// free is the context free list (the paper's): idle contexts, each a
-	// parked goroutine still registered with the timer service with its
-	// deadline word disarmed. Launch pops one and release pushes it back.
-	// A Pool worker keeps the context of the task it just finished for
-	// its next launch, so the list and freeMu are touched only when a
-	// preempted task carries a worker's context away.
+	// free holds the context free lists (the paper's), one per kind of
+	// context: idle contexts, each a parked goroutine still registered
+	// with the timer service with its deadline word disarmed. Launch pops
+	// one and release pushes it back onto its own kind's list. A Pool
+	// worker keeps the context of the task it just finished for its next
+	// launch of that class, so the lists and freeMu are touched only when
+	// a preempted task carries a worker's context away.
 	freeMu sync.Mutex
-	free   []*Ctx
+	free   [NumClasses][]*Ctx
 }
 
-// maxParked bounds the free list. It needs no knob: contexts exist only
+// maxParked bounds each free list. It needs no knob: contexts exist only
 // in the number of tasks that were ever live at once, the bound merely
 // caps how many of those stay parked after a burst (a few KiB of
-// goroutine stack each), and a context released beyond it is discarded
-// — the next burst then pays the old per-task creation cost again,
-// nothing else changes.
+// goroutine stack each, plus an OS thread for a BE context), and a
+// context released beyond it is discarded — the next burst then pays the
+// old per-task creation cost again, nothing else changes.
 const maxParked = 256
 
 // ErrClosed is returned by Launch after Close.
@@ -217,10 +218,12 @@ func (r *Runtime) Close() {
 	// itself.
 	r.freeMu.Lock()
 	parked := r.free
-	r.free = nil
+	r.free = [NumClasses][]*Ctx{}
 	r.freeMu.Unlock()
-	for _, c := range parked {
-		r.discard(c)
+	for _, list := range parked {
+		for _, c := range list {
+			r.discard(c)
+		}
 	}
 }
 
@@ -353,11 +356,11 @@ func (r *Runtime) watchdog() {
 	}
 }
 
-// acquire returns an idle context for a launch: spare if the caller
-// kept one from its last task (a Pool worker), else the top of the free
-// list, else a new one. It fails with ErrClosed after Close; a spare is
-// then discarded.
-func (r *Runtime) acquire(spare *Ctx) (*Ctx, error) {
+// acquire returns an idle context of the class's kind for a launch:
+// spare if the caller kept one from its last task of that class (a Pool
+// worker), else the top of the kind's free list, else a new one. It
+// fails with ErrClosed after Close; a spare is then discarded.
+func (r *Runtime) acquire(class Class, spare *Ctx) (*Ctx, error) {
 	if r.closed.Load() {
 		if spare != nil {
 			r.discard(spare)
@@ -368,15 +371,16 @@ func (r *Runtime) acquire(spare *Ctx) (*Ctx, error) {
 		return spare, nil
 	}
 	r.freeMu.Lock()
-	if n := len(r.free); n > 0 {
-		c := r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
+	free := r.free[class]
+	if n := len(free); n > 0 {
+		c := free[n-1]
+		free[n-1] = nil
+		r.free[class] = free[:n-1]
 		r.freeMu.Unlock()
 		return c, nil
 	}
 	r.freeMu.Unlock()
-	c := &Ctx{rt: r, parkCh: make(chan struct{}), runCh: make(chan struct{}), yieldCh: make(chan bool)}
+	c := &Ctx{rt: r, class: class, parkCh: make(chan struct{}), runCh: make(chan struct{}), yieldCh: make(chan bool)}
 	if err := r.register(c); err != nil {
 		return nil, err
 	}
@@ -384,16 +388,16 @@ func (r *Runtime) acquire(spare *Ctx) (*Ctx, error) {
 	return c, nil
 }
 
-// release parks an idle context on the free list, or discards it when
-// the list is full or the runtime is closed.
+// release parks an idle context on its kind's free list, or discards it
+// when that list is full or the runtime is closed.
 func (r *Runtime) release(c *Ctx) {
 	r.freeMu.Lock()
-	if r.closed.Load() || len(r.free) >= maxParked {
+	if r.closed.Load() || len(r.free[c.class]) >= maxParked {
 		r.freeMu.Unlock()
 		r.discard(c)
 		return
 	}
-	r.free = append(r.free, c)
+	r.free[c.class] = append(r.free[c.class], c)
 	r.freeMu.Unlock()
 }
 
