@@ -18,7 +18,7 @@ type mech interface {
 	handlerCost() sim.Time
 }
 
-// deliver is the single delivery point both mechanisms route through:
+// deliver is the single delivery point every mechanism routes through:
 // the chaos injector (when configured) may drop the delivery (a lost
 // interrupt), delay it (a contended bus), or defer it to the end of a
 // timer-stall window. A delayed delivery carries the generation it was
@@ -124,9 +124,47 @@ func (m *signalMech) handlerCost() sim.Time {
 	return m.s.M.Costs.KThreadSwitch
 }
 
+// ipiDecisionCost is what Shinjuku's dispatcher core pays for one
+// scheduling decision: picking the next request and writing it to the
+// worker's slot. Workers spin on a shared cacheline, so the dispatcher
+// mediates every assignment — after each arrival, completion and
+// preemption — the centralization that bounds the design's scalability.
+const ipiDecisionCost = 120 * sim.Nanosecond
+
+// ipiMech is Shinjuku's posted-IPI preemption (NSDI'19): the dispatcher
+// core polls each worker's elapsed time and, once the quantum is spent,
+// pays IPISend to write the interrupt through its mapped APIC. The
+// interrupt lands IPIDeliverMean later (the request keeps running
+// meanwhile) and the worker pays IPIHandler to take it.
+type ipiMech struct{ s *System }
+
+func (m *ipiMech) arm(w *worker, deadline sim.Time, gen uint64) {
+	s := m.s
+	s.Eng.At(deadline, func() {
+		if w.gen != gen || w.cur == nil {
+			return
+		}
+		s.dispatch(dispatchItem{cost: s.M.Costs.IPISend, fn: func() {
+			if w.gen != gen || w.cur == nil {
+				s.Metrics.Spurious++
+				return
+			}
+			s.Metrics.IPISends++
+			lat := hw.SampleLatency(s.M.RNG(), s.M.Costs.IPIDeliverMean, s.M.Costs.IPIDeliverMean/2)
+			s.Eng.Schedule(lat, func() { s.deliver(w, gen) })
+		}})
+	})
+}
+
+// disarm does nothing: the dispatcher's check carries the generation it
+// was armed for and ignores a worker that has moved on.
+func (m *ipiMech) disarm(*worker) {}
+
+func (m *ipiMech) handlerCost() sim.Time { return m.s.M.Costs.IPIHandler }
+
 // Compile-time interface checks.
 var (
 	_ mech = (*uintrMech)(nil)
 	_ mech = (*signalMech)(nil)
-	_      = hw.Costs{}
+	_ mech = (*ipiMech)(nil)
 )

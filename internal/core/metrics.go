@@ -18,6 +18,9 @@ type Metrics struct {
 	Spurious    uint64
 	Steals      uint64
 	Cancelled   uint64
+	// IPISends counts posted interrupts the dispatcher sent
+	// (MechPostedIPI; a check that found the request gone is Spurious).
+	IPISends uint64
 
 	Latency   *stats.Histogram
 	LatencyLC *stats.Histogram
@@ -92,6 +95,7 @@ func (s *System) ResetStats() {
 	s.Metrics.Spurious = 0
 	s.Metrics.Steals = 0
 	s.Metrics.Cancelled = 0
+	s.Metrics.IPISends = 0
 	s.statsSince = s.Eng.Now()
 }
 

@@ -12,9 +12,11 @@
 // per-worker local FIFO queues (two-level mode, Fig. 6). Workers run
 // each request as a preemptible function: when its time quantum expires
 // the preemption mechanism (UINTR via LibUtimer by default, kernel
-// signals in the no-UINTR ablation) interrupts the worker, the context
-// is saved to the running list, and the local scheduler picks the next
-// function — the fn_launch / fn_resume / fn_completed loop of §IV-C.
+// signals in the no-UINTR ablation and the Libinger baseline, a posted
+// IPI from the dispatcher core for the Shinjuku baseline) interrupts
+// the worker, the context is saved to the running list, and the local
+// scheduler picks the next function — the fn_launch / fn_resume /
+// fn_completed loop of §IV-C.
 package core
 
 import (
@@ -41,6 +43,10 @@ const (
 	MechKernelSignal
 	// MechNone disables preemption (run-to-completion).
 	MechNone
+	// MechPostedIPI is Shinjuku's design: the dispatcher core sends a
+	// posted inter-processor interrupt when a quantum expires, and
+	// makes every scheduling decision itself (see internal/shinjuku).
+	MechPostedIPI
 )
 
 func (k MechKind) String() string {
@@ -51,6 +57,8 @@ func (k MechKind) String() string {
 		return "ksignal"
 	case MechNone:
 		return "none"
+	case MechPostedIPI:
+		return "ipi"
 	default:
 		return fmt.Sprintf("MechKind(%d)", int(k))
 	}
@@ -125,10 +133,13 @@ type System struct {
 
 	workers      []*worker
 	dispatchCore *hw.Core
-	dispatchQ    []*sched.Request
+	dispatchQ    []dispatchItem
 	dispatchHead int
 	dispatchBusy bool
 	rrNext       int
+	// decisionCost, when positive, routes every scheduling decision
+	// through the dispatcher core at that cost (MechPostedIPI).
+	decisionCost sim.Time
 
 	inflight   uint64
 	statsSince sim.Time
@@ -183,6 +194,9 @@ func New(cfg Config) *System {
 		s.mech = &signalMech{s: s, rng: rng.Stream(103), events: make([]*sim.Event, cfg.Workers)}
 	case MechNone:
 		s.mech = nil
+	case MechPostedIPI:
+		s.mech = &ipiMech{s: s}
+		s.decisionCost = ipiDecisionCost
 	default:
 		panic(fmt.Sprintf("core: unknown mech %v", cfg.Mech))
 	}
@@ -210,7 +224,12 @@ func (s *System) Utimer() *utimer.Utimer { return s.util }
 // QueueLen reports the number of requests waiting to run (dispatcher
 // backlog + policy/local queues + preempted).
 func (s *System) QueueLen() int {
-	n := len(s.dispatchQ) - s.dispatchHead
+	n := 0
+	for _, it := range s.dispatchQ[s.dispatchHead:] {
+		if it.r != nil {
+			n++
+		}
+	}
 	if s.cfg.TwoLevel {
 		for _, w := range s.workers {
 			n += len(w.local) - w.localHead
@@ -243,15 +262,28 @@ func (s *System) Submit(r *sched.Request) {
 	s.Metrics.winArrivals++
 	s.inflight++
 	s.trace(schedtrace.Submit, r, -1)
-	s.dispatchQ = append(s.dispatchQ, r)
+	s.dispatch(dispatchItem{r: r, cost: s.M.Costs.DispatchCost})
+}
+
+// dispatchItem is one unit of dispatcher-core work: an arrival to admit
+// (r), or a mechanism's costed step (fn).
+type dispatchItem struct {
+	r    *sched.Request
+	cost sim.Time
+	fn   func()
+}
+
+// dispatch queues work on the dispatcher core, which runs it in order,
+// one segment at a time.
+func (s *System) dispatch(it dispatchItem) {
+	s.dispatchQ = append(s.dispatchQ, it)
 	if !s.dispatchBusy {
 		s.dispatchLoop()
 	}
 }
 
-// dispatchLoop drains the dispatcher backlog, one DispatchCost segment
-// per request. The serial dispatcher is a real throughput ceiling, as
-// in all centralized-dispatch systems.
+// dispatchLoop drains the dispatcher backlog. The serial dispatcher is
+// a real throughput ceiling, as in all centralized-dispatch systems.
 func (s *System) dispatchLoop() {
 	if s.dispatchHead >= len(s.dispatchQ) {
 		s.dispatchQ = s.dispatchQ[:0]
@@ -260,11 +292,15 @@ func (s *System) dispatchLoop() {
 		return
 	}
 	s.dispatchBusy = true
-	r := s.dispatchQ[s.dispatchHead]
-	s.dispatchQ[s.dispatchHead] = nil
+	it := s.dispatchQ[s.dispatchHead]
+	s.dispatchQ[s.dispatchHead] = dispatchItem{}
 	s.dispatchHead++
-	s.dispatchCore.Start(s.M.Costs.DispatchCost, func() {
-		s.enqueue(r)
+	s.dispatchCore.Start(it.cost, func() {
+		if it.r != nil {
+			s.enqueue(it.r)
+		} else {
+			it.fn()
+		}
 		s.dispatchLoop()
 	})
 }
@@ -386,11 +422,27 @@ func (s *System) quantumFor(r *sched.Request) sim.Time {
 	return s.quantum
 }
 
-// scheduleNext assigns work to an idle worker.
+// scheduleNext assigns work to an idle worker. With a decisionCost the
+// dispatcher core makes the decision: the worker asks once and waits,
+// not idle, until the dispatcher gets to it.
 func (s *System) scheduleNext(w *worker) {
 	if !w.idle() {
 		return
 	}
+	if s.decisionCost > 0 {
+		w.deciding = true
+		s.dispatch(dispatchItem{cost: s.decisionCost, fn: func() {
+			w.deciding = false
+			s.pickNext(w)
+		}})
+		return
+	}
+	s.pickNext(w)
+}
+
+// pickNext is the scheduling decision for an idle worker: assign the
+// next runnable request, or park.
+func (s *System) pickNext(w *worker) {
 	for {
 		r := s.pickFor(w)
 		if r == nil {

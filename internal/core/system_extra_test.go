@@ -135,6 +135,30 @@ func TestQueueLenAccounting(t *testing.T) {
 	}
 }
 
+// TestQueueLenCountsRequestsOnly: under MechPostedIPI the dispatcher's
+// backlog mixes arrivals with its own costed work (decisions, IPI
+// sends); only requests count toward QueueLen.
+func TestQueueLenCountsRequestsOnly(t *testing.T) {
+	s := New(Config{Workers: 1, Quantum: 50 * sim.Microsecond, Mech: MechPostedIPI, Seed: 49})
+	for i := uint64(1); i <= 3; i++ {
+		s.Submit(sched.NewRequest(i, sched.ClassLC, 0, 10*sim.Microsecond))
+	}
+	// After the first arrival's DispatchCost: request 1 waits in the
+	// policy queue, request 2 is being dispatched, and the backlog
+	// holds request 3 and the worker's decision.
+	s.Eng.Run(s.M.Costs.DispatchCost + sim.Nanosecond)
+	if n := len(s.dispatchQ) - s.dispatchHead; n != 2 {
+		t.Fatalf("dispatcher backlog = %d items, want 2 (request 3 + a decision)", n)
+	}
+	if got := s.QueueLen(); got != 2 {
+		t.Fatalf("QueueLen = %d, want 2 (requests 1 and 3; the queued decision is not a request)", got)
+	}
+	s.Eng.RunAll()
+	if got := s.QueueLen(); got != 0 || s.Metrics.Completed != 3 {
+		t.Fatalf("after drain: QueueLen = %d, completed = %d", got, s.Metrics.Completed)
+	}
+}
+
 func TestPreemptedLenTracksLongQueue(t *testing.T) {
 	s := New(Config{Workers: 1, Quantum: 10 * sim.Microsecond, Mech: MechUINTR, Seed: 48})
 	// Two long requests: while one runs, the other parks preempted.

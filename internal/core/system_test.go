@@ -360,7 +360,7 @@ func TestSubmitNilPanics(t *testing.T) {
 
 func TestMechKindString(t *testing.T) {
 	if MechUINTR.String() != "uintr" || MechKernelSignal.String() != "ksignal" ||
-		MechNone.String() != "none" || MechKind(9).String() == "" {
+		MechNone.String() != "none" || MechPostedIPI.String() != "ipi" || MechKind(9).String() == "" {
 		t.Fatal("MechKind strings wrong")
 	}
 }

@@ -16,6 +16,7 @@ type worker struct {
 	starting bool   // executing ctx-alloc/switch or handler overhead
 	gen      uint64 // assignment generation (guards stale interrupts)
 	parked   bool   // blocked waiting for work
+	deciding bool   // a decision for it is queued on the dispatcher
 
 	local     []*sched.Request
 	localHead int
@@ -30,7 +31,7 @@ func newWorker(s *System, id int, core *hw.Core) *worker {
 }
 
 // idle reports whether the worker can accept a new assignment.
-func (w *worker) idle() bool { return w.cur == nil && !w.starting }
+func (w *worker) idle() bool { return w.cur == nil && !w.starting && !w.deciding }
 
 // park marks the worker blocked (no runnable work). In UINTR mode the
 // receiver transitions to the kernel-blocked state, so a subsequent

@@ -86,15 +86,7 @@ func fig8Systems(o Options) []struct {
 		{"Shinjuku", func(wl fig8Workload, load float64, dur sim.Time, seed uint64) fig8Point {
 			const workers = 5
 			s := shinjuku.New(shinjuku.Config{Workers: workers, Quantum: wl.shinQ, Seed: seed})
-			gen := workload.NewOpenLoop(s.Eng, sim.NewRNG(seed+13), sched.ClassLC,
-				wl.phases(load, workers, dur), s.Submit)
-			s.Eng.ScheduleDaemon(dur/fig8Warmup, s.ResetStats)
-			gen.Start()
-			s.Eng.Run(dur)
-			gen.Stop()
-			s.Eng.RunAll()
-			snap := s.Metrics.Latency.Snapshot()
-			return fig8Point{us(snap.Median), us(snap.P99), s.Throughput(), s.Metrics.Completed}
+			return driveCore(s.System, wl, load, workers, dur, seed)
 		}, noSkip},
 		{"Libinger", func(wl fig8Workload, load float64, dur sim.Time, seed uint64) fig8Point {
 			const workers = 5

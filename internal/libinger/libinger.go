@@ -20,7 +20,6 @@ package libinger
 
 import (
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -32,12 +31,8 @@ type Config struct {
 	// Quantum is the requested preemption interval; values below the
 	// kernel timer floor are honored only at floor granularity.
 	Quantum sim.Time
-	// Costs overrides machine costs.
-	Costs *hw.Costs
 	// Seed fixes the run.
 	Seed uint64
-	// OnComplete observes completions.
-	OnComplete func(r *sched.Request)
 }
 
 // System is a running libinger instance.
@@ -49,14 +44,11 @@ type System struct {
 // preemption and no dedicated timer core.
 func New(cfg Config) *System {
 	return &System{core.New(core.Config{
-		Workers:     cfg.Workers,
-		Quantum:     cfg.Quantum,
-		Policy:      sched.NewFCFSPreempt(),
-		Mech:        core.MechKernelSignal,
-		Costs:       cfg.Costs,
-		Seed:        cfg.Seed ^ 0x6c6962696e676572,
-		OnComplete:  cfg.OnComplete,
-		CtxPoolSize: 1 << 16,
+		Workers: cfg.Workers,
+		Quantum: cfg.Quantum,
+		Policy:  sched.NewFCFSPreempt(),
+		Mech:    core.MechKernelSignal,
+		Seed:    cfg.Seed ^ 0x6c6962696e676572,
 	})}
 }
 

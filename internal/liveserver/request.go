@@ -396,8 +396,8 @@ func (h *handler) exec(ctx *preemptible.Ctx) {
 	case verbSet:
 		// The ack gate: "OK" means the record is applied AND durable
 		// (logged + fsynced when a WAL is configured). A write the
-		// log cannot promise answers "ERR wal" — the store may have
-		// changed, but the client was never promised anything.
+		// log cannot promise answers "ERR wal"; one the log refused
+		// never reached the store.
 		ok, err := h.sh.DurableSet(h.key, h.value)
 		switch {
 		case err != nil:

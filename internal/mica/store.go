@@ -74,14 +74,16 @@ func hash64(key []byte) uint64 {
 	return h
 }
 
+// Fits reports whether Set would accept key → value: the item fits in
+// the log and each length in its 16-bit header field.
+func (s *Store) Fits(key, value []byte) bool {
+	return headerBytes+len(key)+len(value) <= len(s.log) && len(key) <= 0xffff && len(value) <= 0xffff
+}
+
 // Set inserts or updates key → value. It returns false when the item
 // cannot fit in the log at all.
 func (s *Store) Set(key, value []byte) bool {
-	need := headerBytes + len(key) + len(value)
-	if need > len(s.log) {
-		return false
-	}
-	if len(key) > 0xffff || len(value) > 0xffff {
+	if !s.Fits(key, value) {
 		return false
 	}
 	s.Sets++

@@ -485,34 +485,34 @@ func (s *Shard) StoreView(f func(st *mica.Store)) {
 	s.storeMu.Unlock()
 }
 
-// DurableSet applies one SET and, when durability is configured, logs
-// and fsyncs it. ok reports whether the store accepted the item (false
-// = too large, same as Store().Set). A nil error with ok=true is the
-// durability promise: the record is on disk (or durability is off) and
-// the write may be acknowledged. A non-nil error means the store
-// changed but the log could not promise the write — the caller must
-// NOT ack (liveserver answers "ERR wal").
+// DurableSet logs one SET and, once the append succeeds, applies it;
+// then it waits for the log's fsync. ok reports whether the store
+// accepts the item (false = too large, same as Store().Set; nothing is
+// logged). A nil error with ok=true is the durability promise: the
+// record is on disk (or durability is off) and the write may be
+// acknowledged. A non-nil error means the caller must NOT ack
+// (liveserver answers "ERR wal"): a failed append left the store
+// untouched; a failed fsync left the logged record applied.
 func (s *Shard) DurableSet(key, value []byte) (ok bool, err error) {
 	u := s.snapshot()
-	s.storeMu.Lock()
-	ok = u.store.Set(key, value)
-	var lsn uint64
-	var aerr error
-	if ok && u.wal != nil {
-		lsn, aerr = u.wal.Append(key, value)
-	}
-	s.storeMu.Unlock()
-	if !ok {
+	if !u.store.Fits(key, value) {
 		return false, nil
 	}
 	if u.walErr != nil {
 		return true, u.walErr
 	}
-	if u.wal == nil {
-		return true, nil
+	// Append and apply under one lock hold: log order is apply order.
+	var lsn uint64
+	s.storeMu.Lock()
+	if u.wal != nil {
+		lsn, err = u.wal.Append(key, value)
 	}
-	if aerr != nil {
-		return true, aerr
+	if err == nil {
+		u.store.Set(key, value)
+	}
+	s.storeMu.Unlock()
+	if err != nil || u.wal == nil {
+		return true, err
 	}
 	if err := u.wal.Sync(lsn); err != nil {
 		return true, err

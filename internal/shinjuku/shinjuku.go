@@ -6,38 +6,33 @@
 // Architectural differences from LibPreemptible captured by the model:
 //
 //   - The dispatcher is on the critical path of every scheduling event:
-//     it processes arrivals AND sends every preemption IPI, so its core
-//     saturates as load and preemption rate grow.
-//   - Preemption costs more end-to-end: IPI send (~0.3 µs of dispatcher
-//     time) + interrupt delivery (~1.4 µs) + receiver handler (~0.6 µs),
-//     versus SENDUIPI from a timer core and a ~0.12 µs user handler.
+//     it processes arrivals, makes every assignment decision and sends
+//     every preemption IPI, so its core saturates as load and
+//     preemption rate grow.
+//   - Preemption costs more end-to-end: hw.Costs.IPISend of dispatcher
+//     time, then IPIDeliverMean until the interrupt lands, then
+//     IPIHandler on the worker — versus SENDUIPI from a timer core and
+//     a UINTRHandlerEntry user handler.
 //   - The quantum is static: Shinjuku must be profiled per workload to
 //     pick it (§V-A), where LibPreemptible adapts online.
 //   - The mapped APIC bounds the number of addressable worker cores
 //     (MaxAPICTargets) and requires ring-0 trust (§VII-B).
+//
+// The model is core.System with core.MechPostedIPI, which implements
+// the first two; this package pins the configuration and the APIC cap.
 package shinjuku
 
 import (
 	"fmt"
 
-	"repro/internal/fcontext"
-	"repro/internal/hw"
+	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // MaxAPICTargets is the number of worker cores the mapped APIC design
 // can address — the scalability ceiling discussed in §I and §V-B.
 const MaxAPICTargets = 16
-
-// assignCost is the dispatcher-side work per scheduling decision:
-// picking the next request and writing it to the worker's slot. In
-// Shinjuku the dispatcher mediates every assignment (workers spin on a
-// shared cacheline), so this is charged on the dispatcher core for
-// every completion and preemption as well as every arrival — the
-// centralization that bounds the design's scalability.
-const assignCost = 120 * sim.Nanosecond
 
 // Config parameterizes a Shinjuku instance.
 type Config struct {
@@ -45,299 +40,29 @@ type Config struct {
 	Workers int
 	// Quantum is the static preemption quantum (0 = no preemption).
 	Quantum sim.Time
-	// CtxPoolSize bounds in-flight requests (default 1<<16).
-	CtxPoolSize int
-	// Costs overrides machine costs (nil = calibrated defaults).
-	Costs *hw.Costs
 	// Seed fixes the run.
 	Seed uint64
-	// OnComplete observes completions.
-	OnComplete func(r *sched.Request)
-}
-
-// Metrics aggregates Shinjuku measurements.
-type Metrics struct {
-	Submitted   uint64
-	Completed   uint64
-	Preemptions uint64
-	Spurious    uint64
-	IPISends    uint64
-	Latency     *stats.Histogram
 }
 
 // System is a running Shinjuku instance.
 type System struct {
-	Eng *sim.Engine
-	M   *hw.Machine
-
-	cfg    Config
-	policy *sched.FCFSPreempt
-	pool   *fcontext.Pool
-
-	workers  []*worker
-	dispCore *hw.Core
-	dispQ    []dispatchItem
-	dispHead int
-	dispBusy bool
-
-	inflight   uint64
-	statsSince sim.Time
-
-	Metrics Metrics
+	*core.System
 }
 
-// dispatchItem is one unit of dispatcher-core work.
-type dispatchItem struct {
-	cost sim.Time
-	fn   func()
-}
-
-type worker struct {
-	id       int
-	core     *hw.Core
-	cur      *sched.Request
-	seg      *hw.Segment
-	starting bool
-	gen      uint64
-}
-
-func (w *worker) idle() bool { return w.cur == nil && !w.starting }
-
-// New builds a Shinjuku system. It panics if Workers exceeds the APIC
-// addressing limit, mirroring the hardware constraint.
+// New builds a Shinjuku system: centralized cFCFS on a dispatcher core
+// that also sends the preemption IPIs. It panics if Workers exceeds the
+// APIC addressing limit, mirroring the hardware constraint.
 func New(cfg Config) *System {
-	if cfg.Workers <= 0 {
-		panic("shinjuku: need at least one worker")
-	}
 	if cfg.Workers > MaxAPICTargets {
 		panic(fmt.Sprintf("shinjuku: %d workers exceed the %d-core APIC limit", cfg.Workers, MaxAPICTargets))
 	}
-	if cfg.CtxPoolSize == 0 {
-		cfg.CtxPoolSize = 1 << 16
-	}
-	costs := hw.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(cfg.Seed ^ 0x7368696e6a756b75)
-	m := hw.NewMachine(eng, cfg.Workers+1, costs, rng)
-	s := &System{
-		Eng:     eng,
-		M:       m,
-		cfg:     cfg,
-		policy:  sched.NewFCFSPreempt(),
-		pool:    fcontext.NewPool(cfg.CtxPoolSize, 0),
-		Metrics: Metrics{Latency: stats.NewHistogram()},
-	}
-	s.dispCore = m.Core(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		s.workers = append(s.workers, &worker{id: i, core: m.Core(i)})
-	}
-	return s
-}
-
-// Workers reports the worker count.
-func (s *System) Workers() int { return len(s.workers) }
-
-// Quantum reports the static quantum.
-func (s *System) Quantum() sim.Time { return s.cfg.Quantum }
-
-// QueueLen reports requests waiting in the central queues.
-func (s *System) QueueLen() int { return s.policy.Len() }
-
-// InFlight reports submitted-but-incomplete requests.
-func (s *System) InFlight() uint64 { return s.inflight }
-
-// ResetStats starts a fresh measurement epoch (post-warm-up steady
-// state).
-func (s *System) ResetStats() {
-	s.Metrics.Latency.Reset()
-	s.Metrics.Submitted = 0
-	s.Metrics.Completed = 0
-	s.Metrics.Preemptions = 0
-	s.Metrics.Spurious = 0
-	s.Metrics.IPISends = 0
-	s.statsSince = s.Eng.Now()
-}
-
-// Throughput reports completions per second of virtual time since the
-// last ResetStats (or the start of the run).
-func (s *System) Throughput() float64 {
-	elapsed := s.Eng.Now() - s.statsSince
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Metrics.Completed) / elapsed.Seconds()
-}
-
-// Submit delivers a request to the dispatcher.
-func (s *System) Submit(r *sched.Request) {
-	if r == nil {
-		panic("shinjuku: Submit(nil)")
-	}
-	s.Metrics.Submitted++
-	s.inflight++
-	s.dispatch(s.M.Costs.DispatchCost, func() {
-		s.policy.Enqueue(r)
-		s.wakeIdle()
-	})
-}
-
-// dispatch serializes work on the dispatcher core — the centralized
-// bottleneck of the design.
-func (s *System) dispatch(cost sim.Time, fn func()) {
-	s.dispQ = append(s.dispQ, dispatchItem{cost, fn})
-	if !s.dispBusy {
-		s.dispatchLoop()
-	}
-}
-
-func (s *System) dispatchLoop() {
-	if s.dispHead >= len(s.dispQ) {
-		s.dispQ = s.dispQ[:0]
-		s.dispHead = 0
-		s.dispBusy = false
-		return
-	}
-	s.dispBusy = true
-	item := s.dispQ[s.dispHead]
-	s.dispQ[s.dispHead] = dispatchItem{}
-	s.dispHead++
-	s.dispCore.Start(item.cost, func() {
-		item.fn()
-		s.dispatchLoop()
-	})
-}
-
-func (s *System) wakeIdle() {
-	for _, w := range s.workers {
-		if w.idle() {
-			s.scheduleNext(w)
-			return
-		}
-	}
-}
-
-// scheduleNext asks the dispatcher for the worker's next request: the
-// decision itself runs on (and costs) the dispatcher core.
-func (s *System) scheduleNext(w *worker) {
-	s.dispatch(assignCost, func() {
-		if !w.idle() {
-			return
-		}
-		r := s.policy.Next()
-		if r == nil {
-			return
-		}
-		s.assign(w, r)
-	})
-}
-
-func (s *System) assign(w *worker, r *sched.Request) {
-	w.gen++
-	gen := w.gen
-	w.cur = r
-	var overhead sim.Time
-	if r.Ctx == nil {
-		ctx, err := s.pool.Get()
-		if err != nil {
-			panic("shinjuku: context pool exhausted")
-		}
-		ctx.Data = r
-		r.Ctx = ctx
-		overhead = s.M.Costs.CtxAlloc
-	} else {
-		overhead = s.M.Costs.CtxSwitch + s.M.Costs.CtxRefill
-	}
-	w.starting = true
-	w.core.Start(overhead, func() {
-		w.starting = false
-		if w.gen != gen || w.cur != r {
-			return
-		}
-		s.startWork(w, r, gen)
-	})
-}
-
-func (s *System) startWork(w *worker, r *sched.Request, gen uint64) {
-	now := s.Eng.Now()
-	if !r.Started() {
-		r.Start = now
-	}
-	if q := s.cfg.Quantum; q > 0 {
-		// The dispatcher polls per-worker elapsed time; when the quantum
-		// is exceeded it spends IPISend cycles to post the interrupt.
-		s.Eng.Schedule(q, func() {
-			if w.gen != gen || w.cur != r {
-				return
-			}
-			s.dispatch(s.M.Costs.IPISend, func() {
-				if w.gen != gen || w.cur != r {
-					s.Metrics.Spurious++
-					return
-				}
-				s.Metrics.IPISends++
-				lat := hw.SampleLatency(s.M.RNG(), s.M.Costs.IPIDeliverMean, s.M.Costs.IPIDeliverMean/2)
-				s.Eng.Schedule(lat, func() { s.preempt(w, gen) })
-			})
-		})
-	}
-	w.seg = w.core.Start(r.Remaining, func() { s.complete(w, r) })
-}
-
-func (s *System) complete(w *worker, r *sched.Request) {
-	now := s.Eng.Now()
-	r.Remaining = 0
-	r.Finish = now
-	s.pool.Put(r.Ctx)
-	r.Ctx = nil
-	w.cur = nil
-	w.seg = nil
-	s.inflight--
-	s.Metrics.Completed++
-	s.Metrics.Latency.Record(int64(r.Latency()))
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete(r)
-	}
-	s.scheduleNext(w)
-}
-
-func (s *System) preempt(w *worker, gen uint64) {
-	if w.cur == nil || w.gen != gen || w.seg == nil {
-		s.Metrics.Spurious++
-		return
-	}
-	r := w.cur
-	consumed := w.seg.Abort()
-	r.Remaining -= consumed
-	w.cur = nil
-	w.seg = nil
-	overhead := s.M.Costs.IPIHandler + s.M.Costs.CtxSwitch
-	if r.Remaining <= 0 {
-		r.Remaining = 0
-		w.starting = true
-		w.core.Start(overhead, func() {
-			w.starting = false
-			r.Finish = s.Eng.Now()
-			s.pool.Put(r.Ctx)
-			r.Ctx = nil
-			s.inflight--
-			s.Metrics.Completed++
-			s.Metrics.Latency.Record(int64(r.Latency()))
-			if s.cfg.OnComplete != nil {
-				s.cfg.OnComplete(r)
-			}
-			s.scheduleNext(w)
-		})
-		return
-	}
-	r.Preemptions++
-	s.Metrics.Preemptions++
-	w.starting = true
-	w.core.Start(overhead, func() {
-		w.starting = false
-		s.policy.Requeue(r)
-		s.scheduleNext(w)
-	})
+	return &System{core.New(core.Config{
+		Workers: cfg.Workers,
+		Quantum: cfg.Quantum,
+		Policy:  sched.NewFCFSPreempt(),
+		Mech:    core.MechPostedIPI,
+		// core seeds its root RNG with Seed ^ 0x6c507265656d70; cancel
+		// that so Shinjuku keeps its own stream, Seed ^ "shinjuku".
+		Seed: cfg.Seed ^ 0x7368696e6a756b75 ^ 0x6c507265656d70,
+	})}
 }

@@ -4,6 +4,13 @@
 // workers. ZygOS showed that stealing is necessary even at µs scales —
 // but without preemption, long requests still head-of-line block their
 // core, which is the gap LibPreemptible closes.
+//
+// Unlike the Shinjuku and Libinger baselines this one keeps its own
+// loop instead of running on core.System, because it shares none of
+// core's scheduling structure: requests are placed by RSS hash, not by a
+// dispatcher; there is no dispatcher core at all; an idle worker steals
+// from the tail of the longest peer queue; and nothing is preempted.
+// Folding it into core would make core branch on its caller.
 package zygos
 
 import (
@@ -17,12 +24,8 @@ import (
 type Config struct {
 	// Workers is the worker-core count.
 	Workers int
-	// Costs overrides machine costs.
-	Costs *hw.Costs
 	// Seed fixes the run.
 	Seed uint64
-	// OnComplete observes completions.
-	OnComplete func(r *sched.Request)
 }
 
 // Metrics aggregates measurements.
@@ -38,7 +41,6 @@ type System struct {
 	Eng *sim.Engine
 	M   *hw.Machine
 
-	cfg     Config
 	workers []*worker
 
 	inflight uint64
@@ -87,14 +89,10 @@ func New(cfg Config) *System {
 	if cfg.Workers <= 0 {
 		panic("zygos: need at least one worker")
 	}
-	costs := hw.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(cfg.Seed ^ 0x7a79676f73)
-	m := hw.NewMachine(eng, cfg.Workers, costs, rng)
-	s := &System{Eng: eng, M: m, cfg: cfg, Metrics: Metrics{Latency: stats.NewHistogram()}}
+	m := hw.NewMachine(eng, cfg.Workers, hw.DefaultCosts(), rng)
+	s := &System{Eng: eng, M: m, Metrics: Metrics{Latency: stats.NewHistogram()}}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers = append(s.workers, &worker{id: i, core: m.Core(i)})
 	}
@@ -173,9 +171,6 @@ func (s *System) runNext(w *worker) {
 		s.inflight--
 		s.Metrics.Completed++
 		s.Metrics.Latency.Record(int64(r.Latency()))
-		if s.cfg.OnComplete != nil {
-			s.cfg.OnComplete(r)
-		}
 		s.runNext(w)
 	})
 }

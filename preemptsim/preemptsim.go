@@ -158,7 +158,20 @@ type Config struct {
 	Seed uint64
 }
 
-// Result summarizes a Simulate run.
+// withDefaults fills in the zero-valued Workers and Seed.
+func (c Config) withDefaults() Config {
+	if c.Workers == 0 {
+		c.Workers = 4
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	return c
+}
+
+// Result summarizes a Simulate run. Every system kind runs on the same
+// engine and fills every field; Shinjuku and Libinger report a real
+// Utilization (mean worker-core busy fraction), where they once read 0.
 type Result struct {
 	Completed     uint64
 	ThroughputRPS float64
@@ -167,6 +180,66 @@ type Result struct {
 	P999          time.Duration
 	Preemptions   uint64
 	Utilization   float64
+}
+
+// summarize reads a finished run's Result.
+func summarize(s *core.System) Result {
+	return Result{
+		Completed:     s.Metrics.Completed,
+		ThroughputRPS: s.Throughput(),
+		Mean:          time.Duration(s.Metrics.Latency.Mean()),
+		P50:           time.Duration(s.Metrics.Latency.Median()),
+		P99:           time.Duration(s.Metrics.Latency.P99()),
+		P999:          time.Duration(s.Metrics.Latency.P999()),
+		Preemptions:   s.Metrics.Preemptions,
+		Utilization:   s.WorkerUtilization(),
+	}
+}
+
+// newSystem resolves cfg (with defaults applied) into a simulated
+// system. The baselines pin their own policy and mechanism. The
+// LibPreemptible kinds take cfg.Policy's discipline and the mechanism
+// cfg.System names (none when neither a quantum nor the controller asks
+// for preemption), plus, when cfg.Adaptive, Algorithm 1 sized for the
+// workload's mean service time and run every period.
+func newSystem(cfg Config, mean, period sim.Time) (*core.System, error) {
+	switch cfg.System {
+	case Shinjuku:
+		return shinjuku.New(shinjuku.Config{Workers: cfg.Workers, Quantum: sim.Time(cfg.Quantum), Seed: cfg.Seed}).System, nil
+	case Libinger:
+		return libinger.New(libinger.Config{Workers: cfg.Workers, Quantum: sim.Time(cfg.Quantum), Seed: cfg.Seed}).System, nil
+	case "", LibPreemptible, LibPreemptibleNoUINTR:
+	default:
+		return nil, fmt.Errorf("preemptsim: unknown system %q", cfg.System)
+	}
+	pol, err := policyFor(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	mech := core.MechUINTR
+	if cfg.System == LibPreemptibleNoUINTR {
+		mech = core.MechKernelSignal
+	}
+	if cfg.Quantum == 0 && !cfg.Adaptive {
+		mech = core.MechNone
+	}
+	s := core.New(core.Config{
+		Workers: cfg.Workers,
+		Quantum: sim.Time(cfg.Quantum),
+		Policy:  pol,
+		Mech:    mech,
+		Seed:    cfg.Seed,
+	})
+	if cfg.Adaptive {
+		acfg := adaptive.DefaultConfig(workload.RateForLoad(1.0, cfg.Workers, mean))
+		acfg.Period = period
+		start := sim.Time(cfg.Quantum)
+		if start == 0 {
+			start = 20 * sim.Microsecond
+		}
+		adaptive.Attach(s, adaptive.NewController(acfg, start))
+	}
+	return s, nil
 }
 
 func policyFor(name string) (sched.Policy, error) {
@@ -193,103 +266,28 @@ func Simulate(cfg Config, wl Workload, load float64, duration time.Duration) (Re
 	if duration <= 0 {
 		return Result{}, errors.New("preemptsim: duration must be positive")
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 4
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	cfg = cfg.withDefaults()
 	first, second, err := wl.dists()
 	if err != nil {
 		return Result{}, err
 	}
 	dur := sim.Time(duration)
-	phases := []workload.Phase{{Service: first, Rate: workload.RateForLoad(load, workers, first.Mean())}}
+	phases := []workload.Phase{{Service: first, Rate: workload.RateForLoad(load, cfg.Workers, first.Mean())}}
+	mean := first.Mean()
 	if second != nil {
 		phases[0].Duration = dur / 2
 		phases = append(phases, workload.Phase{
-			Service: second, Rate: workload.RateForLoad(load, workers, second.Mean())})
-	}
-	mean := first.Mean()
-	if second != nil {
+			Service: second, Rate: workload.RateForLoad(load, cfg.Workers, second.Mean())})
 		mean = (first.Mean() + second.Mean()) / 2
 	}
-
-	switch cfg.System {
-	case "", LibPreemptible, LibPreemptibleNoUINTR:
-		pol, err := policyFor(cfg.Policy)
-		if err != nil {
-			return Result{}, err
-		}
-		mech := core.MechUINTR
-		if cfg.System == LibPreemptibleNoUINTR {
-			mech = core.MechKernelSignal
-		}
-		if cfg.Quantum == 0 && !cfg.Adaptive {
-			mech = core.MechNone
-		}
-		s := core.New(core.Config{
-			Workers: workers,
-			Quantum: sim.Time(cfg.Quantum),
-			Policy:  pol,
-			Mech:    mech,
-			Seed:    seed,
-		})
-		if cfg.Adaptive {
-			acfg := adaptive.DefaultConfig(workload.RateForLoad(1.0, workers, mean))
-			acfg.Period = dur / 40
-			start := sim.Time(cfg.Quantum)
-			if start == 0 {
-				start = 20 * sim.Microsecond
-			}
-			adaptive.Attach(s, adaptive.NewController(acfg, start))
-		}
-		drive(s.Eng, s.Submit, phases, dur, seed)
-		return Result{
-			Completed:     s.Metrics.Completed,
-			ThroughputRPS: s.Throughput(),
-			Mean:          time.Duration(s.Metrics.Latency.Mean()),
-			P50:           time.Duration(s.Metrics.Latency.Median()),
-			P99:           time.Duration(s.Metrics.Latency.P99()),
-			P999:          time.Duration(s.Metrics.Latency.P999()),
-			Preemptions:   s.Metrics.Preemptions,
-			Utilization:   s.WorkerUtilization(),
-		}, nil
-	case Shinjuku:
-		s := shinjuku.New(shinjuku.Config{Workers: workers, Quantum: sim.Time(cfg.Quantum), Seed: seed})
-		drive(s.Eng, s.Submit, phases, dur, seed)
-		return Result{
-			Completed:     s.Metrics.Completed,
-			ThroughputRPS: s.Throughput(),
-			Mean:          time.Duration(s.Metrics.Latency.Mean()),
-			P50:           time.Duration(s.Metrics.Latency.Median()),
-			P99:           time.Duration(s.Metrics.Latency.P99()),
-			P999:          time.Duration(s.Metrics.Latency.P999()),
-			Preemptions:   s.Metrics.Preemptions,
-		}, nil
-	case Libinger:
-		s := libinger.New(libinger.Config{Workers: workers, Quantum: sim.Time(cfg.Quantum), Seed: seed})
-		drive(s.Eng, s.Submit, phases, dur, seed)
-		return Result{
-			Completed:     s.Metrics.Completed,
-			ThroughputRPS: s.Throughput(),
-			Mean:          time.Duration(s.Metrics.Latency.Mean()),
-			P50:           time.Duration(s.Metrics.Latency.Median()),
-			P99:           time.Duration(s.Metrics.Latency.P99()),
-			P999:          time.Duration(s.Metrics.Latency.P999()),
-			Preemptions:   s.Metrics.Preemptions,
-		}, nil
-	default:
-		return Result{}, fmt.Errorf("preemptsim: unknown system %q", cfg.System)
+	s, err := newSystem(cfg, mean, dur/40)
+	if err != nil {
+		return Result{}, err
 	}
-}
-
-func drive(eng *sim.Engine, submit func(*sched.Request), phases []workload.Phase, dur sim.Time, seed uint64) {
-	gen := workload.NewOpenLoop(eng, sim.NewRNG(seed+0xabcdef), sched.ClassLC, phases, submit)
+	gen := workload.NewOpenLoop(s.Eng, sim.NewRNG(cfg.Seed+0xabcdef), sched.ClassLC, phases, s.Submit)
 	gen.Start()
-	eng.Run(dur)
+	s.Eng.Run(dur)
 	gen.Stop()
-	eng.RunAll()
+	s.Eng.RunAll()
+	return summarize(s), nil
 }

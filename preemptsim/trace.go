@@ -5,8 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/adaptive"
-	"repro/internal/core"
 	"repro/internal/replay"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -32,59 +30,19 @@ func SimulateTrace(cfg Config, traceCSV io.Reader) (Result, error) {
 	default:
 		return Result{}, errors.New("preemptsim: SimulateTrace supports LibPreemptible variants only")
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 4
+	period := tr.Duration() / 40
+	if period <= 0 {
+		period = sim.Millisecond
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	pol, err := policyFor(cfg.Policy)
+	s, err := newSystem(cfg.withDefaults(), tr.TotalDemand()/sim.Time(tr.Len()), period)
 	if err != nil {
 		return Result{}, err
-	}
-	mech := core.MechUINTR
-	if cfg.System == LibPreemptibleNoUINTR {
-		mech = core.MechKernelSignal
-	}
-	if cfg.Quantum == 0 && !cfg.Adaptive {
-		mech = core.MechNone
-	}
-	s := core.New(core.Config{
-		Workers: workers,
-		Quantum: sim.Time(cfg.Quantum),
-		Policy:  pol,
-		Mech:    mech,
-		Seed:    seed,
-	})
-	if cfg.Adaptive {
-		mean := tr.TotalDemand() / sim.Time(tr.Len())
-		acfg := adaptive.DefaultConfig(workload.RateForLoad(1.0, workers, mean))
-		acfg.Period = tr.Duration() / 40
-		if acfg.Period <= 0 {
-			acfg.Period = sim.Millisecond
-		}
-		start := sim.Time(cfg.Quantum)
-		if start == 0 {
-			start = 20 * sim.Microsecond
-		}
-		adaptive.Attach(s, adaptive.NewController(acfg, start))
 	}
 	if err := tr.Replay(s.Eng, s.Submit); err != nil {
 		return Result{}, err
 	}
 	s.Eng.RunAll()
-	return Result{
-		Completed:     s.Metrics.Completed,
-		ThroughputRPS: s.Throughput(),
-		Mean:          time.Duration(s.Metrics.Latency.Mean()),
-		P50:           time.Duration(s.Metrics.Latency.Median()),
-		P99:           time.Duration(s.Metrics.Latency.P99()),
-		P999:          time.Duration(s.Metrics.Latency.P999()),
-		Preemptions:   s.Metrics.Preemptions,
-		Utilization:   s.WorkerUtilization(),
-	}, nil
+	return summarize(s), nil
 }
 
 // RecordTrace draws a synthetic workload once and writes it as a CSV
