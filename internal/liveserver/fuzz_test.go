@@ -1,6 +1,8 @@
 package liveserver
 
 import (
+	"bytes"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -98,6 +100,23 @@ func FuzzParse(f *testing.F) {
 					t.Fatalf("unknown command %q → %q, want ERR", line, resp)
 				}
 			}
+		}
+	})
+}
+
+// FuzzAppendQueryEscape holds MGET's escaper to the encoding it
+// replaced: appendQueryEscape(prefix, b) is prefix followed by
+// url.QueryEscape(b), byte for byte, whatever the bytes.
+func FuzzAppendQueryEscape(f *testing.F) {
+	for c := 0; c < 256; c++ {
+		f.Add([]byte("="), []byte{byte(c)})
+	}
+	f.Add([]byte(nil), []byte(nil))
+	f.Add([]byte("="), []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"))
+	f.Fuzz(func(t *testing.T, prefix, b []byte) {
+		got := appendQueryEscape(bytes.Clone(prefix), b)
+		if want := string(prefix) + url.QueryEscape(string(b)); string(got) != want {
+			t.Fatalf("appendQueryEscape(%q, %q) = %q, want %q", prefix, b, got, want)
 		}
 	})
 }

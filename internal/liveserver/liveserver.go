@@ -29,11 +29,12 @@
 //
 // MGET fans out to every shard its keys route to, each leg under the
 // request's wire deadline, and reports per-key partial results: one
-// token per key, in request order. A hit is "=" + the value,
-// percent-escaped (url.QueryEscape) so values survive tokenization; a
-// miss is NOT_FOUND; a key whose shard leg failed carries the failure
-// instead — UNAVAILABLE (shard down or breaker open), DEADLINE (the
-// leg expired server-side), OVERLOADED, BROWNOUT, CANCELLED, or ERROR.
+// token per key, in request order. A hit is "=" + the value, escaped
+// exactly as url.QueryEscape escapes it, so values survive
+// tokenization; a miss is NOT_FOUND; a key whose shard leg failed
+// carries the failure instead — UNAVAILABLE (shard down or breaker
+// open), DEADLINE (the leg expired server-side), OVERLOADED, BROWNOUT,
+// CANCELLED, or ERROR.
 // One dead shard degrades exactly its keys; the rest of the response
 // is served normally.
 //

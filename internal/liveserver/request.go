@@ -1,7 +1,7 @@
 package liveserver
 
 import (
-	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,6 +38,11 @@ type handler struct {
 	kb         int
 
 	val []byte // a SET value whose white-space runs had to be collapsed
+
+	// MGET's, kept for the next one (see mget).
+	legs   []mgetLeg // one per shard, made by the first MGET
+	tokens [][]byte  // one per key: "=" and the escaped value, NOT_FOUND, or a failure token
+	wg     sync.WaitGroup
 }
 
 // HandleLine processes one protocol line exactly as a connection
@@ -476,49 +481,135 @@ func failToken(o shard.Outcome) string {
 // leg's keys come back with real values. Each leg is one shard.Do, so
 // the admission counters see MGET as N(shards touched) requests, not
 // one.
+//
+// Nothing here allocates once the connection has served an MGET as wide
+// and as fat: the legs, the token buffers and the WaitGroup are the
+// handler's, and each leg writes only its own keys' tokens.
 func (h *handler) mget() {
-	s, gone, keys, meta := h.s, h.gone, h.keys, h.meta
-	tokens := make([]string, len(keys))
-	byShard := make(map[int][]int)
-	for i, k := range keys {
-		idx := s.group.Route(k)
-		byShard[idx] = append(byShard[idx], i)
+	if h.legs == nil {
+		h.legs = make([]mgetLeg, h.s.group.N())
+		for i := range h.legs {
+			l := &h.legs[i]
+			l.h, l.sh = h, h.s.group.Shard(i)
+			l.task, l.view, l.spawn = l.exec, l.read, l.run
+		}
 	}
-	var wg sync.WaitGroup
-	for idx, kidx := range byShard {
-		wg.Add(1)
-		go func(idx int, kidx []int) {
-			defer wg.Done()
-			sh := s.group.Shard(idx)
-			// The leg's task fills its keys' tokens with no safepoint in
-			// between: it either ran (every token set) or it did not run
-			// at all, so a failure token never overwrites a real value.
-			// (sh.Do, not group.Do: a leg is a new goroutine on a 2 KiB
-			// stack, and the wait at the bottom of Do sits within a frame
-			// or two of making every leg grow it.)
-			res := sh.Do(preemptible.ClassLC, func(ctx *preemptible.Ctx) {
-				sh.StoreView(func(st *mica.Store) {
-					for _, i := range kidx {
-						r := st.Get(keys[i])
-						if r.Hit {
-							tokens[i] = "=" + url.QueryEscape(string(r.Value))
-						} else {
-							tokens[i] = "NOT_FOUND"
-						}
-					}
-				})
-			}, shard.DoOptions{Deadline: meta.deadline, Attempt: meta.attempt, Gone: gone})
-			if res.Outcome != shard.OK {
-				tok := failToken(res.Outcome)
-				for _, i := range kidx {
-					tokens[i] = tok
-				}
-			}
-		}(idx, kidx)
+	for i := range h.legs {
+		h.legs[i].kidx = h.legs[i].kidx[:0]
 	}
-	wg.Wait()
+	for i, k := range h.keys {
+		l := &h.legs[h.s.group.Route(k)]
+		l.kidx = append(l.kidx, i)
+	}
+	h.tokens = slices.Grow(h.tokens[:0], len(h.keys))[:len(h.keys)]
+	for i := range h.legs {
+		if l := &h.legs[i]; len(l.kidx) > 0 {
+			h.wg.Add(1)
+			go l.spawn()
+		}
+	}
+	h.wg.Wait()
 	h.out = append(h.out, "MVALUES"...)
-	for _, tok := range tokens {
+	for _, tok := range h.tokens {
 		h.out = append(append(h.out, ' '), tok...)
 	}
+	// One MGET of fat values must not stay pinned for the connection's
+	// lifetime.
+	if h.mgetRetained() > flushBytes {
+		clear(h.tokens[:cap(h.tokens)])
+		for i := range h.legs {
+			h.legs[i].scratch = nil
+		}
+	}
+}
+
+// mgetLeg is one shard's part of a connection's MGETs. Its func fields
+// are its methods, bound once: task is the pool task, view its body
+// under the store lock, and spawn the leg's goroutine — a go statement
+// on a bound func value allocates nothing, on a method call it
+// allocates a closure.
+type mgetLeg struct {
+	h       *handler
+	sh      *shard.Shard
+	kidx    []int                // which of the request's keys route here
+	scratch []byte               // one value, copied out of the store
+	task    preemptible.Task     // l.exec
+	view    func(st *mica.Store) // l.read
+	spawn   func()               // l.run
+}
+
+// run is one leg's goroutine. It calls the shard's Do with no frame in
+// between: a leg starts on a 2 KiB stack, and the wait at the bottom of
+// Do sits within a frame or two of making every leg grow it. Do returns
+// only after the task has settled, so a failure token written here never
+// races the task's writes to the same buffers.
+func (l *mgetLeg) run() {
+	h := l.h
+	res := l.sh.Do(preemptible.ClassLC, l.task, shard.DoOptions{Deadline: h.meta.deadline, Attempt: h.meta.attempt, Gone: h.gone})
+	if res.Outcome != shard.OK {
+		tok := failToken(res.Outcome)
+		for _, i := range l.kidx {
+			h.tokens[i] = append(h.tokens[i][:0], tok...)
+		}
+	}
+	h.wg.Done()
+}
+
+func (l *mgetLeg) exec(*preemptible.Ctx) { l.sh.StoreView(l.view) }
+
+// read is the task's body under the store lock: each of the leg's keys
+// gets "=" and its escaped value, or NOT_FOUND.
+func (l *mgetLeg) read(st *mica.Store) {
+	keys, tokens := l.h.keys, l.h.tokens
+	for _, i := range l.kidx {
+		var hit bool
+		if l.scratch, hit = st.AppendGet(l.scratch[:0], keys[i]); hit {
+			tokens[i] = appendQueryEscape(append(tokens[i][:0], '='), l.scratch)
+		} else {
+			tokens[i] = append(tokens[i][:0], "NOT_FOUND"...)
+		}
+	}
+}
+
+// mgetRetained is how many bytes of token and value buffers the handler
+// keeps between MGETs. (The index slices grow with the line, as the
+// connection's input buffer does, and are not counted.)
+func (h *handler) mgetRetained() int {
+	n := 0
+	for _, tok := range h.tokens[:cap(h.tokens)] {
+		n += cap(tok)
+	}
+	for i := range h.legs {
+		n += cap(h.legs[i].scratch)
+	}
+	return n
+}
+
+// queryUnreserved marks the bytes url.QueryEscape leaves as they are.
+var queryUnreserved = func() (t [256]bool) {
+	for c := range t {
+		t[c] = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '-' || c == '_' || c == '.' || c == '~'
+	}
+	return t
+}()
+
+// appendQueryEscape appends src to dst escaped byte for byte as
+// url.QueryEscape escapes it: unreserved bytes as they are, a space as
+// '+', and every other byte as %XX in upper-case hex. A buffer too small
+// for src grows once before the loop, not once per doubling in it.
+func appendQueryEscape(dst, src []byte) []byte {
+	const hex = "0123456789ABCDEF"
+	dst = slices.Grow(dst, len(src))
+	for _, c := range src {
+		switch {
+		case queryUnreserved[c]:
+			dst = append(dst, c)
+		case c == ' ':
+			dst = append(dst, '+')
+		default:
+			dst = append(dst, '%', hex[c>>4], hex[c&15])
+		}
+	}
+	return dst
 }

@@ -3,7 +3,9 @@ package liveserver
 import (
 	"bufio"
 	"fmt"
+	"math/rand"
 	"net"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -250,6 +252,127 @@ func TestMGetPartialFailure(t *testing.T) {
 		}
 	}
 	c.check(t, s)
+}
+
+// TestMGetReusedBuffersMatchReference drives one connection — one set
+// of reused legs and token buffers — through a seeded run of MGETs that
+// change width, mix hits, misses and duplicate keys, hold values that
+// escape, and, once a shard is killed partway, put failure tokens and
+// values into the same slots in turn. Every reply must equal one built
+// with url.QueryEscape from the test's own model of the store.
+func TestMGetReusedBuffersMatchReference(t *testing.T) {
+	s, addr := startServer(t, Config{
+		Shards: 4,
+		Supervise: shard.SuperviseConfig{
+			MaxRestarts:   1,
+			RestartWindow: time.Minute,
+			RestartDrain:  100 * time.Millisecond,
+		},
+	})
+	g := s.Group()
+	c := dial(t, addr)
+	rng := rand.New(rand.NewSource(1))
+	// Words of a value: bytes that escape ('+', '/', '%', '=', non-ASCII
+	// and invalid UTF-8) beside ones that do not. No 'D' or 'A', so a
+	// value never ends in the shape of a metadata token.
+	words := []string{"a", "Z", "9", "+", "/", "%", "=", "-", "_", ".", "~", "&", "?", "#", "é", "ü", "\xff", "\xfe"}
+	value := func() string {
+		var b strings.Builder
+		n := 1 + rng.Intn(40)
+		if rng.Intn(8) == 0 {
+			n = 500 + rng.Intn(1500) // fat: the buffers grow, then serve narrow values
+		}
+		for i := 0; i < n; i++ {
+			if i > 0 && rng.Intn(6) == 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(words[rng.Intn(len(words))])
+		}
+		return b.String()
+	}
+	keys := make([]string, 48) // the last 12 are never set: misses
+	model := map[string]string{}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		if i < 36 {
+			v := value()
+			if got := c.roundTrip(t, "SET "+keys[i]+" "+v); got != "OK" {
+				t.Fatalf("SET %s → %q", keys[i], got)
+			}
+			model[keys[i]] = v
+		}
+	}
+	const victim, steps = 2, 600
+	dead := false
+	for step := 0; step < steps; step++ {
+		if step == steps/2 {
+			killToDead(t, s, victim, 1)
+			dead = true
+		}
+		if rng.Intn(5) == 0 { // an overwrite changes a value's length between MGETs
+			k, v := keys[rng.Intn(36)], value()
+			if got := c.roundTrip(t, "SET "+k+" "+v); got == "OK" {
+				model[k] = v
+			} else if !dead || g.Route([]byte(k)) != victim || got != "ERR unavailable" {
+				t.Fatalf("step %d: SET %s → %q", step, k, got)
+			}
+		}
+		width := 1 + rng.Intn(32)
+		req, want := "MGET", "MVALUES"
+		for i := 0; i < width; i++ {
+			k := keys[rng.Intn(len(keys))] // with replacement: duplicates
+			req += " " + k
+			v, hit := model[k]
+			switch {
+			case dead && g.Route([]byte(k)) == victim:
+				want += " UNAVAILABLE"
+			case hit:
+				want += " =" + url.QueryEscape(v)
+			default:
+				want += " NOT_FOUND"
+			}
+		}
+		if got := c.roundTrip(t, req); got != want {
+			t.Fatalf("step %d: %s\n got %q\nwant %q", step, req, got, want)
+		}
+	}
+}
+
+// TestMGetBoundedRetention: one MGET of fat values does not stay pinned
+// for the connection's lifetime — after the reply its buffers are let
+// go, and a small MGET after it keeps only what it needs.
+func TestMGetBoundedRetention(t *testing.T) {
+	s, _ := startServer(t, Config{Shards: 4})
+	big := strings.Repeat("v+", 30<<10) // 60 KiB, 90 KiB escaped
+	for i := 0; i < 3; i++ {
+		if got := s.HandleLine(fmt.Sprintf("SET big%d %s", i, big)); got != "OK" {
+			t.Fatalf("SET big%d → %q", i, got)
+		}
+	}
+	if got := s.HandleLine("SET small x"); got != "OK" {
+		t.Fatalf("SET small → %q", got)
+	}
+	// A handler used as a connection uses it: one for every request.
+	h := &handler{s: s}
+	h.task = h.exec
+	do := func(line string) string {
+		h.out = h.out[:0]
+		h.handle([]byte(line))
+		return string(h.out)
+	}
+	fat := strings.Repeat(" ="+url.QueryEscape(big), 3)
+	if got := do("MGET big0 big1 big2"); got != "MVALUES"+fat {
+		t.Fatalf("fat MGET: %d reply bytes, want %d", len(got), len("MVALUES"+fat))
+	}
+	if n := h.mgetRetained(); n > flushBytes {
+		t.Fatalf("after the fat MGET the connection keeps %d bytes of MGET buffers, bound %d", n, flushBytes)
+	}
+	if got := do("MGET small big9 small"); got != "MVALUES =x NOT_FOUND =x" {
+		t.Fatalf("small MGET → %q", got)
+	}
+	if n := h.mgetRetained(); n == 0 || n > flushBytes {
+		t.Fatalf("after the small MGET the connection keeps %d bytes of MGET buffers, want 1..%d", n, flushBytes)
+	}
 }
 
 func TestShardRestartConservesCounters(t *testing.T) {

@@ -3,6 +3,7 @@ package tailclient
 import (
 	"fmt"
 	"net"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -62,39 +63,58 @@ func TestAgainstLiveServer(t *testing.T) {
 	}
 }
 
-// startLiveServer serves a real liveserver on a loopback port.
-func startLiveServer(t *testing.T) string {
+// startLiveServer serves a real liveserver of the given number of shards
+// on a loopback port.
+func startLiveServer(t *testing.T, shards int) (*liveserver.Server, string) {
 	t.Helper()
 	rt, err := preemptible.New(preemptible.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	s := liveserver.New(rt, liveserver.Config{Workers: 2, BrownoutDisabled: true})
+	s := liveserver.New(rt, liveserver.Config{Workers: 2, Shards: shards, BrownoutDisabled: true})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go s.Serve(ln) //nolint:errcheck
 	t.Cleanup(s.Close)
-	return ln.Addr().String()
+	return s, ln.Addr().String()
 }
 
 // TestAllocBudgetLoopback pins what one operation allocates end to end —
 // client and server together, over loopback TCP, with a deadline on the
 // wire as a deployed client has: the unit-test twin of the benchmark's
-// gated allocs_per_op. What is left is the Result.Resp string.
+// gated allocs_per_op. What is left is the Result.Resp string. The MGET
+// row is the benchmark's mget_fanout shape: 8 keys over every shard of
+// four, 256 B values with bytes to escape (63 allocations when each leg
+// was a closure and each token a string).
 func TestAllocBudgetLoopback(t *testing.T) {
-	c := New(Config{Addr: startLiveServer(t), OpDeadline: 5 * time.Second, Seed: 1})
+	s, addr := startLiveServer(t, 4)
+	c := New(Config{Addr: addr, OpDeadline: 5 * time.Second, Seed: 1})
 	defer c.Close()
+	value := strings.Repeat("ab+/cd9=", 32)
+	mget, mvalues := "MGET", "MVALUES"
+	for i := 0; i < 8; i++ {
+		key := ""
+		for n := 0; key == "" || s.Group().Route([]byte(key)) != i%4; n++ {
+			key = fmt.Sprintf("m%d-%d", i, n)
+		}
+		if res, err := c.Do("SET " + key + " " + value); err != nil || res.Resp != "OK" {
+			t.Fatalf("SET %s: res=%+v err=%v", key, res, err)
+		}
+		mget += " " + key
+		mvalues += " =" + url.QueryEscape(value)
+	}
 	for _, row := range []struct {
 		op, want string
 		budget   float64
 	}{
 		{"SET k value-of-thirty-two-bytes-----x", "OK", 1},
 		{"GET k", "VALUE value-of-thirty-two-bytes-----x", 1},
+		{mget, mvalues, 1},
 	} {
-		testutil.AllocBudget(t, `Client.Do("`+row.op+`") over loopback`, row.budget, func() {
+		testutil.AllocBudget(t, `Client.Do("`+row.op[:min(len(row.op), 40)]+`") over loopback`, row.budget, func() {
 			if res, err := c.Do(row.op); err != nil || res.Outcome != OK || res.Resp != row.want || res.Attempts != 1 {
 				t.Fatalf("%s: res=%+v err=%v", row.op, res, err)
 			}
@@ -106,7 +126,8 @@ func TestAllocBudgetLoopback(t *testing.T) {
 // reader — a fat value, a wide MGET — takes the accumulating read, and
 // the connection is good for the next operation.
 func TestLongReplyRoundTrips(t *testing.T) {
-	c := New(Config{Addr: startLiveServer(t), MaxConns: 1, Seed: 1})
+	_, addr := startLiveServer(t, 1)
+	c := New(Config{Addr: addr, MaxConns: 1, Seed: 1})
 	defer c.Close()
 	big := strings.Repeat("v", 60<<10)
 	var mget, want strings.Builder
