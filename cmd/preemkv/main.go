@@ -161,9 +161,9 @@ func serve(addr string, cfg liveserver.Config, drain time.Duration, metricsAddr 
 		st.Completed, st.Preemptions, st.Shed, st.DegradedRuns, st.P99)
 	m := s.MetricsV2()
 	lc, be := m.Totals["lc"], m.Totals["be"]
-	fmt.Printf("overload: %d conns shed, %d requests shed, %d brownout-rejected, %d timeouts, %d over-long lines; timer restarts %d\n",
+	fmt.Printf("overload: %d conns shed, %d requests shed, %d brownout-rejected, %d timeouts, %d over-long lines\n",
 		m.ShedConns, lc.RejectedNormal+lc.RejectedShed+be.RejectedNormal+be.RejectedShed,
-		lc.RejectedBrownout+be.RejectedBrownout, lc.Timeouts+be.Timeouts, m.LineTooLong, rt.TimerRestarts())
+		lc.RejectedBrownout+be.RejectedBrownout, lc.Timeouts+be.Timeouts, m.LineTooLong)
 	fmt.Printf("cancelled on disconnect: %d queued (evicted), %d executing (unwound at safepoint)\n",
 		st.CancelledQueued, st.CancelledExecuting)
 	fmt.Printf("brownout: %d transitions, final state %v, smoothed load %.3f\n",

@@ -66,7 +66,7 @@ func main() {
 		live = countLive(fns)
 	}
 
-	fmt.Printf("\nall %d tasks complete after %d rounds; %d timer preemptions delivered\n",
+	fmt.Printf("\nall %d tasks complete after %d rounds; %d quantum-expiry preemptions taken\n",
 		numThreads, round, rt.Preemptions())
 }
 

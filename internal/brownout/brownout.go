@@ -80,13 +80,6 @@ type Config struct {
 	// any transition out of it (default 50ms). Combined with hysteresis
 	// it bounds the worst-case mode-switch rate.
 	MinDwell time.Duration
-	// DegradedFloor/TerminalFloor are raw-signal floors applied while
-	// the runtime watchdog reports Degraded()/Terminal(): a wedged timer
-	// service means quanta are only enforced cooperatively, so the
-	// server preemptively sheds BE even if occupancy looks fine
-	// (defaults: EnterBrownout for both — degraded delivery pushes the
-	// controller to BROWNOUT but not to SHED on its own).
-	DegradedFloor, TerminalFloor float64
 }
 
 func (c Config) withDefaults() Config {
@@ -110,12 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinDwell == 0 {
 		c.MinDwell = 50 * time.Millisecond
-	}
-	if c.DegradedFloor == 0 {
-		c.DegradedFloor = c.EnterBrownout
-	}
-	if c.TerminalFloor == 0 {
-		c.TerminalFloor = c.EnterBrownout
 	}
 	return c
 }
@@ -152,24 +139,9 @@ type Signal struct {
 	// DelayRatio is queue delay against its target: oldest queued
 	// arrival's wait / target delay.
 	DelayRatio float64
-	// Degraded/Terminal mirror the runtime watchdog; they apply the
-	// configured raw-signal floors.
-	Degraded, Terminal bool
 }
 
-func (s Signal) raw(cfg Config) float64 {
-	r := s.Occupancy
-	if s.DelayRatio > r {
-		r = s.DelayRatio
-	}
-	if s.Degraded && cfg.DegradedFloor > r {
-		r = cfg.DegradedFloor
-	}
-	if s.Terminal && cfg.TerminalFloor > r {
-		r = cfg.TerminalFloor
-	}
-	return r
-}
+func (s Signal) raw() float64 { return max(s.Occupancy, s.DelayRatio) }
 
 // Transition records one state change.
 type Transition struct {
@@ -213,7 +185,7 @@ func (c *Controller) Config() Config {
 func (c *Controller) Observe(now time.Time, sig Signal) State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	raw := sig.raw(c.cfg)
+	raw := sig.raw()
 	if !c.primed {
 		c.primed = true
 		c.load = raw

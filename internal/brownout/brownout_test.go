@@ -73,21 +73,6 @@ func TestDwellBlocksEarlyTransition(t *testing.T) {
 	}
 }
 
-func TestWatchdogFloorsForceBrownout(t *testing.T) {
-	c := New(Config{MinDwell: time.Millisecond, AlphaRise: 1, AlphaFall: 1})
-	t0 := time.Unix(0, 0)
-	c.Observe(t0, Signal{Occupancy: 0})
-	got := c.Observe(t0.Add(10*time.Millisecond), Signal{Occupancy: 0, Degraded: true})
-	if got != Brownout {
-		t.Fatalf("degraded watchdog did not force brownout: %v (load %.2f)", got, c.Load())
-	}
-	// Terminal alone must not escalate past brownout by default.
-	got = c.Observe(t0.Add(20*time.Millisecond), Signal{Occupancy: 0, Terminal: true})
-	if got != Brownout {
-		t.Fatalf("terminal watchdog state %v, want brownout", got)
-	}
-}
-
 // TestMonotoneRampNeverFlaps is the seeded property test: for any
 // monotone load ramp up then down, the state sequence is monotone in
 // each direction, there is exactly one transition per threshold

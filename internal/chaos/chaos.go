@@ -1,24 +1,16 @@
-// Package chaos is a deterministic, seeded fault injector for both
-// engines: it degrades the *substrate* (timer delivery, worker cores,
-// arrival processes) while leaving the scheduler's correctness
-// obligations intact, so tests can assert "no work lost, counters
-// exact" under faults.
+// Package chaos is a deterministic, seeded fault injector: it degrades
+// the *substrate* (timer delivery, worker cores, arrival processes, and
+// for the live server its byte streams, filesystem, task bodies and
+// shards) while leaving the scheduler's correctness obligations intact,
+// so tests can assert "no work lost, counters exact" under faults.
 //
-// Two halves:
-//
-//   - Injector plugs into the simulator's core.System (Config.Chaos):
-//     every preemption delivery is routed through OnDelivery, which can
-//     drop it (a lost UINTR), delay it (a contended bus), or stall it
-//     (the timer service wedged for a window of virtual time). Worker
-//     assignment overhead can be inflated (a slow/jittery core), and
-//     arrival storms can be scheduled on the engine. All decisions come
-//     from a seeded RNG: the same Config produces the same fault
-//     sequence, event for event.
-//
-//   - Clock (clock.go) plugs into the live preemptible.Runtime via its
-//     Config.Clock hook: it is a real-time clock whose tickers can be
-//     stalled on demand, which is how tests wedge the utimer loop and
-//     exercise the watchdog restart path.
+// Injector plugs into the simulator's core.System (Config.Chaos): every
+// preemption delivery is routed through OnDelivery, which can drop it (a
+// lost UINTR), delay it (a contended bus), or stall it (the timer
+// service wedged for a window of virtual time). Worker assignment
+// overhead can be inflated (a slow/jittery core), and arrival storms can
+// be scheduled on the engine. All decisions come from a seeded RNG: the
+// same Config produces the same fault sequence, event for event.
 //
 // The package replaces the hand-rolled degradation wiring that used to
 // live only in internal/core's fault-injection tests.

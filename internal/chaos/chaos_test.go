@@ -8,7 +8,6 @@ package chaos_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -229,63 +228,5 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			chaos.NewInjector(cfg)
 		})
-	}
-}
-
-func TestClockStallResume(t *testing.T) {
-	ck := chaos.NewClock()
-	ticks, stop := ck.NewTicker(time.Millisecond)
-	defer stop()
-
-	select {
-	case <-ticks:
-	case <-time.After(2 * time.Second):
-		t.Fatal("healthy ticker never ticked")
-	}
-
-	ck.Stall()
-	if !ck.Stalled() {
-		t.Fatal("Stalled() false after Stall")
-	}
-	// Drain at most one tick that raced the stall, then expect silence.
-	select {
-	case <-ticks:
-	case <-time.After(5 * time.Millisecond):
-	}
-	select {
-	case <-ticks:
-		t.Fatal("tick delivered while stalled")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if ck.TicksSwallowed() == 0 {
-		t.Fatal("stall swallowed no ticks")
-	}
-
-	ck.Resume()
-	if ck.Stalled() {
-		t.Fatal("Stalled() true after Resume")
-	}
-	select {
-	case <-ticks:
-	case <-time.After(2 * time.Second):
-		t.Fatal("ticker dead after Resume")
-	}
-	if ck.TicksDelivered() == 0 {
-		t.Fatal("delivered counter never moved")
-	}
-	if ck.Tickers() != 1 {
-		t.Fatalf("ticker count %d, want 1", ck.Tickers())
-	}
-}
-
-func TestClockStallFor(t *testing.T) {
-	ck := chaos.NewClock()
-	ck.StallFor(10 * time.Millisecond)
-	if !ck.Stalled() {
-		t.Fatal("StallFor not in effect")
-	}
-	time.Sleep(15 * time.Millisecond)
-	if ck.Stalled() {
-		t.Fatal("StallFor did not expire")
 	}
 }

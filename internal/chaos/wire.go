@@ -11,8 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Wire faults: the hostile-network face of the chaos package. Every
-// injector so far degraded the *inside* of the process — timer
+// Wire faults: the hostile-network face of the chaos package. The other
+// injectors degrade the *inside* of the process — simulated timer
 // deliveries, worker cores, task bodies, whole shards. Conn/Listener
 // degrade the byte stream itself, the one surface the resilience stack
 // was never tested against: torn writes, stalled sockets, mid-stream

@@ -73,7 +73,7 @@
 // (LC), COMPRESS is best-effort (BE). Each shard runs its own brownout
 // controller (internal/brownout) watching that shard's smoothed load —
 // inflight occupancy plus recent fast-rejects against the shard's
-// inflight share, queue delay, and the runtime watchdog — and degrades
+// inflight share, and queue delay — and degrades
 // class-aware:
 //
 //   - NORMAL: everyone is admitted up to the inflight share.

@@ -29,8 +29,7 @@ type SuperviseConfig struct {
 	RestartDrain time.Duration
 	// MaxRestarts is the restart budget: more than this many restarts
 	// within RestartWindow escalates the shard to terminal Dead — a
-	// flapping shard stops being repaired, exactly like the runtime
-	// watchdog's timer-loop escalation (0 = unlimited).
+	// flapping shard stops being repaired (0 = unlimited).
 	MaxRestarts int
 	// RestartWindow is the sliding window the budget counts in
 	// (default 10s).
@@ -58,8 +57,8 @@ func (c SuperviseConfig) withDefaults() SuperviseConfig {
 
 // Group is N bulkhead shards behind a rendezvous router, plus the
 // supervisor that detects, repairs, and — past the restart budget —
-// retires failed shards. All shards share one preemptible.Runtime (the
-// timer service) and nothing else.
+// retires failed shards. All shards share one preemptible.Runtime (its
+// context free lists) and nothing else.
 type Group struct {
 	rt     *preemptible.Runtime
 	scfg   SuperviseConfig

@@ -149,8 +149,8 @@ func TestSupervisorRestartsWedgedShard(t *testing.T) {
 }
 
 // TestRestartBudgetEscalatesToDead: a shard that keeps getting killed
-// exhausts MaxRestarts within RestartWindow and is retired permanently,
-// mirroring the watchdog's terminal escalation.
+// exhausts MaxRestarts within RestartWindow and is retired
+// permanently.
 func TestRestartBudgetEscalatesToDead(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rt := newTestRuntime(t)

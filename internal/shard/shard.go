@@ -4,12 +4,11 @@
 // per-class circuit breakers, and counters — so one wedged, panicking,
 // or chaos-killed shard is a contained failure domain: its siblings
 // share nothing with it but the process and the preemptible.Runtime's
-// timer service. A Group (group.go) glues N shards behind a rendezvous
-// router and supervises them: heartbeat probes detect a dead shard,
-// drain it, rebuild it from a fresh store partition, and re-admit it,
-// with a restart budget that escalates a flapping shard to a terminal
-// Dead state the way the runtime watchdog escalates a flapping timer
-// loop.
+// context free lists. A Group (group.go) glues N shards behind a
+// rendezvous router and supervises them: heartbeat probes detect a dead
+// shard, drain it, rebuild it from a fresh store partition, and
+// re-admit it, with a restart budget that escalates a flapping shard to
+// a terminal Dead state.
 //
 // The failure semantics are deliberately partial: while a shard is
 // down, only keys that route to it answer Unavailable — the router
@@ -658,10 +657,7 @@ func (s *Shard) brownoutLoop(u *unit) {
 		case <-u.loopStop:
 			return
 		case now := <-tick.C:
-			sig := brownout.Signal{
-				Degraded: s.rt.Degraded(),
-				Terminal: s.rt.Terminal(),
-			}
+			var sig brownout.Signal
 			if s.cfg.MaxInflight > 0 {
 				offered := float64(s.inflight.Load()) + float64(s.rejectsWin.Swap(0))
 				sig.Occupancy = offered / float64(s.cfg.MaxInflight)

@@ -9,21 +9,23 @@
 // Intel user interrupts (UINTR) at 3 µs granularity. A Go library
 // cannot interrupt a goroutine asynchronously — the Go runtime owns
 // scheduling — so this implementation substitutes the delivery
-// mechanism while keeping the architecture: a dedicated timer goroutine
-// (the LibUtimer analog) polls a monotonic clock against per-task
-// deadline words and raises a preemption flag; tasks observe the flag
-// at safepoints (Ctx.Checkpoint calls, the analog of the compiler
-// preemption points) and yield back to their scheduler with state
-// saved. Granularity is bounded by safepoint density and Go timer
-// resolution (tens of microseconds) instead of 3 µs; every other part
-// of the paper's design — deadline arming, two-level scheduling,
-// preempted-task lists, the adaptive quantum controller — carries over
-// unchanged. The simulation packages in this repository reproduce the
-// µs-scale results; this package is the adoptable library.
+// mechanism while keeping the architecture. Launch and Resume arm a
+// per-task deadline word; each safepoint (a Ctx.Checkpoint call, the
+// analog of a compiler preemption point) reads the clock, and once the
+// deadline has passed the task yields back to its scheduler with its
+// state saved. That clock read is the one delivery path: there is no
+// timer goroutine, because a flag it raised would only be seen at the
+// same safepoint. Granularity is bounded by safepoint density instead
+// of 3 µs, and a task that reaches no safepoint runs to completion.
+// Every other part of the paper's design — deadline arming, two-level
+// scheduling, preempted-task lists, the adaptive quantum controller —
+// carries over unchanged. The simulation packages in this repository
+// model LibUtimer and UINTR delivery and reproduce the µs-scale
+// results; this package is the adoptable library.
 //
 // # Core API
 //
-// Runtime hosts tasks and the timer service. Fn is a preemptible
+// Runtime hosts tasks and their contexts. Fn is a preemptible
 // function: Launch starts it and returns when it completes or its time
 // slice expires (fn_launch); Resume continues a preempted Fn
 // (fn_resume); Completed reports whether a reschedule is needed
@@ -52,8 +54,8 @@
 //	}
 //
 // A task's context — the goroutine it runs on, the channels that hand
-// control back and forth, the deadline word registered with the timer
-// service — is not created per Launch: like the paper's library, the
+// control back and forth, the deadline word its safepoints read — is
+// not created per Launch: like the paper's library, the
 // Runtime keeps a free list of idle contexts, a finished task's context
 // is parked and serves a later Launch, and in steady state a Launch
 // allocates only the Fn it returns. A Fn keeps reporting its own

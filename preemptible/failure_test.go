@@ -10,11 +10,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // TestLaunchContainsPanic: a panicking task ends in StateFailed with
 // the panic value and stack captured; the runtime stays healthy.
 func TestLaunchContainsPanic(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
 	rt := newRT(t)
 	fn, err := rt.Launch(func(ctx *Ctx) {
 		panic("kaboom")
@@ -41,8 +44,8 @@ func TestLaunchContainsPanic(t *testing.T) {
 	if got, want := terr.Error(), "preemptible: task panicked: kaboom"; got != want {
 		t.Fatalf("Error() = %q, want %q", got, want)
 	}
-	if rt.registered() != 0 {
-		t.Fatalf("failed Fn left %d deadline words registered", rt.registered())
+	if n := len(rt.free[ClassLC]); n != 1 {
+		t.Fatalf("%d contexts parked after one failed Fn, want its context back on the free list", n)
 	}
 	// The runtime is unharmed: a fresh Launch works.
 	fn2, err := rt.Launch(func(ctx *Ctx) {}, time.Millisecond)
@@ -152,12 +155,13 @@ func TestPoolContainsPanics(t *testing.T) {
 // TestPoolPanicSitesProperty is the fuzzing matrix over panic sites:
 // tasks panic before their first Checkpoint, mid-loop between
 // safepoints, or inside a defer, interleaved with healthy tasks. After
-// the storm the pool's workers and the timer service must be intact and
-// every non-failed task must have completed.
+// the storm the pool's workers must be intact, no context may be left
+// holding a task, and every non-failed task must have completed.
 func TestPoolPanicSitesProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			testutil.CheckGoroutineLeaks(t) // a context still holding a task outlives Close
 			rt := newRT(t)
 			p := NewPool(rt, PoolConfig{Workers: 4, Quantum: 100 * time.Microsecond})
 			defer p.Close()
@@ -214,14 +218,6 @@ func TestPoolPanicSitesProperty(t *testing.T) {
 			}
 			if got := completed.Load(); got != int64(n-wantFail) {
 				t.Fatalf("completed = %d, want %d", got, n-wantFail)
-			}
-			// Timer service intact: the runtime is not degraded and no
-			// deadline words leaked.
-			if rt.Degraded() {
-				t.Fatal("timer service degraded after panic storm")
-			}
-			if rt.registered() != 0 {
-				t.Fatalf("%d deadline words leaked", rt.registered())
 			}
 			// Worker count intact: all workers still pull work (more
 			// concurrent barrier tasks than any strict subset could run).

@@ -16,13 +16,12 @@ type Task func(ctx *Ctx)
 
 // Ctx is the execution context handed to a Task: a goroutine parked on
 // parkCh, the channel pair that hands control between it and its
-// scheduler, and the deadline word the timer service polls (the paper's
+// scheduler, and the deadline word its safepoints read (the paper's
 // 64-byte-aligned deadline address). Contexts are the paper's free
-// list: the runtime creates one — goroutine, channels, timer
-// registration — only when no idle one exists, parks it when its task
-// ends and hands it to a later Launch (see Runtime.acquire), so a Ctx
-// outlives the task it is passed to. A Task must not keep its *Ctx past
-// its own return.
+// list: the runtime creates one — goroutine and channels — only when
+// no idle one exists, parks it when its task ends and hands it to a
+// later Launch (see Runtime.acquire), so a Ctx outlives the task it is
+// passed to. A Task must not keep its *Ctx past its own return.
 //
 // Contexts come in two kinds, one per Class, and a context only ever
 // serves tasks of its own kind. A BE context's goroutine is locked to
@@ -35,13 +34,9 @@ type Ctx struct {
 	rt *Runtime
 	// class is the context's kind, fixed at creation.
 	class Class
-	// deadline is the word the timer service polls: 0 = disarmed, a
-	// positive value = unixnano of the next preemption, preemptPending =
-	// the deadline passed and the task is to yield at its next
-	// safepoint. Deadline and flag share one word so that the timer can
-	// only flag the deadline it actually read (a compare-and-swap): a
-	// context reused between the timer's read and its write keeps its
-	// new task's deadline instead of inheriting the old task's flag.
+	// deadline is the word Checkpoint compares against the clock: 0 =
+	// disarmed, otherwise the unixnano at which the current time slice
+	// ends. run arms it; yieldNow and loop disarm it.
 	deadline atomic.Int64
 
 	// The fields from here to checkpoints describe one task and are
@@ -78,9 +73,6 @@ type Ctx struct {
 	failure     *TaskError
 	checkpoints atomic.Uint64
 
-	// live marks a context that holds a task (launched, not yet ended).
-	live atomic.Bool
-
 	// coop marks a degraded-mode context: the task runs inline with no
 	// scheduler to yield to, so Yield and Checkpoint-triggered yields
 	// are no-ops (see Pool's graceful degradation). Never set on a
@@ -94,9 +86,6 @@ type Ctx struct {
 	yieldCh chan bool // true = task finished
 }
 
-// preemptPending is the deadline word's "flag raised" value.
-const preemptPending = -1
-
 // cancelPanic is the sentinel thrown by a safepoint to unwind a
 // cancelled task; the launch wrapper recovers it and completes the Fn
 // through the normal yield path.
@@ -104,9 +93,9 @@ type cancelPanic struct{}
 
 // TaskError is the captured panic of a failed task: the recovered
 // value plus the stack at the panic site. The runtime contains the
-// fault — the worker, timer service, and queues stay healthy — and the
-// Fn completes in StateFailed carrying this record, so the scheduler
-// can attribute the crash without the process dying with it.
+// fault — the worker and the queues stay healthy — and the Fn
+// completes in StateFailed carrying this record, so the scheduler can
+// attribute the crash without the process dying with it.
 type TaskError struct {
 	// Value is the value the task panicked with.
 	Value any
@@ -119,17 +108,12 @@ func (e *TaskError) Error() string {
 	return fmt.Sprintf("preemptible: task panicked: %v", e.Value)
 }
 
-// Checkpoint is the safepoint: on a raised preemption flag it saves
-// control state and returns to the scheduler that called Launch/Resume,
-// blocking until resumed. It also compares the armed deadline word
-// against the clock itself (~one vDSO clock read): the timer goroutine
-// is the designed delivery mechanism — the LibUtimer analog — but on
-// GOMAXPROCS=1 a spinning task can starve it indefinitely (the Go
-// analog of the paper's observation that software timer delivery is
-// unreliable under load), so deadline enforcement cannot rely on the
-// timer alone. The clock read keeps quanta honored regardless; tasks
-// whose safepoints are extremely hot can rely on the flag being set by
-// the timer goroutine arriving first on multi-core schedulers.
+// Checkpoint is the safepoint: once the armed deadline word is behind
+// the clock (one vDSO clock read) it returns control to the scheduler
+// that called Launch/Resume and blocks until resumed. This clock read
+// is the only way a quantum expires — the stand-in for LibUtimer's
+// user interrupt, which Go cannot deliver to a goroutine (see the
+// package comment).
 func (c *Ctx) Checkpoint() {
 	c.checkpoints.Add(1)
 	if c.Cancelled() {
@@ -137,19 +121,10 @@ func (c *Ctx) Checkpoint() {
 	}
 	c.checkExpiry()
 	d := c.deadline.Load()
-	if d == 0 {
+	if d == 0 || time.Now().UnixNano() < d {
 		return
 	}
-	if d != preemptPending {
-		if time.Now().UnixNano() < d {
-			return
-		}
-		// Raise the flag ourselves; losing the swap means the timer
-		// raised (and counted) it between the load and here.
-		if c.deadline.CompareAndSwap(d, preemptPending) && c.rt != nil {
-			c.rt.preemptions.Add(1)
-		}
-	}
+	c.rt.preemptions.Add(1)
 	c.yieldNow()
 }
 
@@ -163,9 +138,6 @@ func (c *Ctx) Yield() {
 	c.checkExpiry()
 	c.yieldNow()
 }
-
-// Preempted reports whether a preemption is pending (without yielding).
-func (c *Ctx) Preempted() bool { return c.deadline.Load() == preemptPending }
 
 // Cancelled reports whether a cancel is pending (without unwinding).
 // Tasks with expensive sections between safepoints can poll it and
@@ -211,7 +183,7 @@ func (c *Ctx) DeadlineExpired() bool { return c.expired.Load() }
 // Deadline reports the armed preemption deadline (zero Time if none).
 func (c *Ctx) Deadline() time.Time {
 	d := c.deadline.Load()
-	if d <= 0 {
+	if d == 0 {
 		return time.Time{}
 	}
 	return time.Unix(0, d)
@@ -342,7 +314,6 @@ func (r *Runtime) start(fn *Fn, c *Ctx, task Task, cancelReq *atomic.Uint32, exp
 	c.expired.Store(false)
 	c.failure = nil
 	c.checkpoints.Store(0)
-	c.live.Store(true)
 	fn.ctx = c
 	c.parkCh <- struct{}{}
 	return fn.run(quantum)
@@ -381,8 +352,8 @@ func (c *Ctx) loop() {
 // yield path, state Completed with ctx.CancelUnwound() set. Any other
 // panic is a task fault, not a runtime fault: the value and stack are
 // captured into a TaskError and the Fn completes in StateFailed through
-// the same path, so one poisoned task can never take down the worker,
-// the timer service, or the queues around it.
+// the same path, so one poisoned task can never take down the worker
+// or the queues around it.
 func runTaskBody(task Task, ctx *Ctx) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -425,7 +396,7 @@ func (fn *Fn) run(quantum time.Duration) (freed *Ctx) {
 	c := fn.ctx
 	fn.state.Store(int32(StateRunning))
 	// Arm the deadline word (utimer_arm_deadline: one memory write).
-	c.deadline.Store(c.rt.clock.Now().Add(quantum).UnixNano())
+	c.deadline.Store(time.Now().Add(quantum).UnixNano())
 	c.runCh <- struct{}{}
 	if done := <-c.yieldCh; !done {
 		fn.Preemptions++
@@ -441,7 +412,6 @@ func (fn *Fn) run(quantum time.Duration) (freed *Ctx) {
 	} else {
 		fn.state.Store(int32(StateCompleted))
 	}
-	c.live.Store(false)
 	return c
 }
 

@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func newRT(t *testing.T) *Runtime {
@@ -28,6 +30,7 @@ func spin(ctx *Ctx, d time.Duration) {
 }
 
 func TestLaunchRunsToCompletion(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
 	rt := newRT(t)
 	ran := false
 	fn, err := rt.Launch(func(ctx *Ctx) { ran = true }, time.Second)
@@ -43,11 +46,8 @@ func TestLaunchRunsToCompletion(t *testing.T) {
 	if fn.Preemptions != 0 {
 		t.Fatal("short task was preempted")
 	}
-	rt.mu.Lock()
-	created := len(rt.ctxs)
-	rt.mu.Unlock()
-	if created != 1 {
-		t.Fatalf("%d contexts created for one Launch", created)
+	if n := len(rt.free[ClassLC]); n != 1 {
+		t.Fatalf("%d contexts parked after one Launch, want its one context", n)
 	}
 }
 
@@ -196,29 +196,5 @@ func TestFnStateString(t *testing.T) {
 		if s.String() == "" {
 			t.Fatal("empty state string")
 		}
-	}
-}
-
-func TestPreemptedFlagVisible(t *testing.T) {
-	rt := newRT(t)
-	var observed atomic.Bool
-	// Spin until the timer thread marks us preempted; the absolute
-	// deadline only bounds the test when delivery never happens (a
-	// loaded machine can starve the timer goroutine well past the
-	// quantum, so give it a generous window).
-	fn, _ := rt.Launch(func(ctx *Ctx) {
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) && !observed.Load() {
-			if ctx.Preempted() {
-				observed.Store(true)
-				ctx.Checkpoint() // actually take the preemption
-			}
-		}
-	}, 2*time.Millisecond)
-	for !fn.Completed() {
-		fn.Resume(2 * time.Millisecond)
-	}
-	if !observed.Load() {
-		t.Fatal("Preempted flag never observed despite 2ms quanta over 2s of work")
 	}
 }

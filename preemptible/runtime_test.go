@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
+	"repro/internal/testutil"
 )
 
 // waitUntil polls cond every millisecond until it holds or the deadline
@@ -23,79 +23,61 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatalf("timed out waiting for %s", msg)
 }
 
-func TestWatchdogRestartsStalledTimer(t *testing.T) {
-	// Wedge the timer service with a chaos clock and verify the
-	// watchdog: detects the stall, marks the runtime Degraded, restarts
-	// the loop with a fresh ticker, and — once the stall lifts —
-	// timer-delivered preemption resumes. Delivery is probed with a
-	// blocked Fn that never checkpoints: only the timer loop can raise
-	// its preemption flag, so the flag transitioning 0→1 is proof the
-	// restarted loop is polling again (this holds even on GOMAXPROCS=1,
-	// where spinning tasks usually beat the timer to the flag).
-	ck := chaos.NewClock()
-	rt, err := New(Config{
-		Resolution:       200 * time.Microsecond,
-		Clock:            ck,
-		WatchdogInterval: time.Millisecond,
-		StallThreshold:   4 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestPreemptionsCountOnlyYields: Runtime.Preemptions counts the
+// quantum-expiry yields tasks took, and nothing else. Five tasks run
+// past their quantum without reaching a safepoint, so they are never
+// preempted; five more reach Checkpoints past their quantum and yield
+// there. The runtime's count equals the yields the Fns report.
+func TestPreemptionsCountOnlyYields(t *testing.T) {
+	rt := newRT(t)
+	const quantum = 500 * time.Microsecond
+	burn := func(d time.Duration) {
+		for end := time.Now().Add(d); time.Now().Before(end); {
+		}
 	}
-	defer rt.Close()
-
-	ck.Stall()
-	waitUntil(t, 2*time.Second, func() bool { return rt.TimerRestarts() > 0 },
-		"watchdog restart")
-	if !rt.Degraded() {
-		t.Fatal("runtime not Degraded after watchdog detected the stall")
+	var fns []*Fn
+	for i := 0; i < 5; i++ {
+		fn, err := rt.Launch(func(*Ctx) { burn(5 * time.Millisecond) }, quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fn.Completed() || fn.Preemptions != 0 {
+			t.Fatalf("safepoint-free task: state=%v preemptions=%d, want completed in one slice", fn.State(), fn.Preemptions)
+		}
+		fns = append(fns, fn)
 	}
-	// Let the killed loop generation drain any buffered tick.
-	time.Sleep(5 * time.Millisecond)
-
-	ctxCh := make(chan *Ctx, 1)
-	release := make(chan struct{})
-	go rt.Launch(func(ctx *Ctx) { //nolint:errcheck
-		ctxCh <- ctx
-		<-release
-	}, 100*time.Microsecond)
-	ctx := <-ctxCh
-
-	time.Sleep(10 * time.Millisecond)
-	if ctx.Preempted() {
-		t.Fatal("preemption flag raised while the timer service was stalled")
+	for i := 0; i < 5; i++ {
+		fn, err := rt.Launch(func(ctx *Ctx) {
+			for j := 0; j < 10; j++ {
+				burn(200 * time.Microsecond)
+				ctx.Checkpoint()
+			}
+		}, quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !fn.Completed() {
+			fn.Resume(quantum)
+		}
+		fns = append(fns, fn)
 	}
-
-	ck.Resume()
-	waitUntil(t, 2*time.Second, func() bool { return !rt.Degraded() },
-		"degraded flag to clear after stall lifted")
-	waitUntil(t, 2*time.Second, ctx.Preempted,
-		"timer-delivered preemption to resume after restart")
-	close(release)
-
-	if rt.TimerPreemptions() == 0 {
-		t.Fatal("timer flag counter did not move")
+	yields := 0
+	for _, fn := range fns {
+		yields += fn.Preemptions
 	}
-	if ck.Tickers() < 2 {
-		t.Fatalf("watchdog restart did not create a fresh ticker: %d", ck.Tickers())
+	if yields == 0 {
+		t.Fatal("no task yielded at a Checkpoint past its quantum")
+	}
+	if got := rt.Preemptions(); got != uint64(yields) {
+		t.Fatalf("rt.Preemptions() = %d, want the %d quantum-expiry yields the Fns took", got, yields)
 	}
 }
 
 func TestPoolSurvivesTimerStall(t *testing.T) {
-	// A pool mid-flight across a timer stall + watchdog restart loses
-	// nothing: every Fn completes, cooperatively if need be.
-	ck := chaos.NewClock()
-	rt, err := New(Config{
-		Resolution:       200 * time.Microsecond,
-		Clock:            ck,
-		WatchdogInterval: time.Millisecond,
-		StallThreshold:   4 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
+	// Spinning tasks that outnumber the workers all complete, their
+	// quanta enforced at their own Checkpoints: no timer goroutine has
+	// to run for a task to be preempted.
+	rt := newRT(t)
 	p := NewPool(rt, PoolConfig{Workers: 2, Quantum: 100 * time.Microsecond})
 	spin := func(ctx *Ctx) {
 		for end := time.Now().Add(2 * time.Millisecond); time.Now().Before(end); {
@@ -110,48 +92,26 @@ func TestPoolSurvivesTimerStall(t *testing.T) {
 	for i := 0; i < tasks; i++ {
 		p.SubmitWithOptions(spin, SubmitOptions{}, func(time.Duration) { done.Add(1) })
 	}
-
-	ck.Stall()
-	waitUntil(t, 2*time.Second, func() bool { return rt.TimerRestarts() > 0 },
-		"watchdog restart")
-	ck.Resume()
-
 	waitUntil(t, 10*time.Second, func() bool { return done.Load() == tasks },
-		"all Fns to complete across the stall")
+		"all Fns to complete")
 	p.Close()
 	st := p.Stats()
 	if st.Completed != tasks {
 		t.Fatalf("completed %d of %d", st.Completed, tasks)
 	}
 	if st.Preemptions == 0 {
-		t.Fatal("quanta were not enforced at all during the stall")
-	}
-}
-
-func TestWatchdogQuietOnHealthyTimer(t *testing.T) {
-	rt, err := New(Config{
-		Resolution:       100 * time.Microsecond,
-		WatchdogInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	time.Sleep(30 * time.Millisecond)
-	if n := rt.TimerRestarts(); n != 0 {
-		t.Fatalf("watchdog restarted a healthy timer %d times", n)
-	}
-	if rt.Degraded() {
-		t.Fatal("healthy runtime reports Degraded")
+		t.Fatal("quanta were not enforced")
 	}
 }
 
 func TestLaunchCloseRace(t *testing.T) {
 	// Hammer concurrent Launch and Close: Launch must either win (task
-	// runs) or lose with ErrClosed — never panic, never leave a ctx
-	// registered with the dead timer service.
+	// runs) or lose with ErrClosed — never panic, never leave a context
+	// parked on the closed runtime's free list, never leave a context
+	// goroutine behind.
+	testutil.CheckGoroutineLeaks(t)
 	for iter := 0; iter < 30; iter++ {
-		rt, err := New(Config{Resolution: 50 * time.Microsecond, WatchdogInterval: -1})
+		rt, err := New(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,8 +141,8 @@ func TestLaunchCloseRace(t *testing.T) {
 		close(start)
 		rt.Close()
 		wg.Wait()
-		if n := rt.registered(); n != 0 {
-			t.Fatalf("iter %d: %d ctxs leaked registered after Close", iter, n)
+		if n := len(rt.free[ClassLC]); n != 0 {
+			t.Fatalf("iter %d: %d contexts parked after Close", iter, n)
 		}
 		if launched.Load() != ran.Load() {
 			t.Fatalf("iter %d: launched %d but ran %d", iter, launched.Load(), ran.Load())
